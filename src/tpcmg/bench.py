@@ -64,7 +64,7 @@ def run_table(model, Ns, gamma=0.0, delta=0.25, tol=1e-15, max_iter=200,
     """
     smoother = smoother or SmootherConfig()
     rows = []
-    prev_error = None
+    prev_N = prev_error = None
     for N in Ns:
         problem = _make_problem(model, N, gamma, delta)
         cfg = TransientConfig(tau=1.0 / N, final_time=1.0)
@@ -72,12 +72,15 @@ def run_table(model, Ns, gamma=0.0, delta=0.25, tol=1e-15, max_iter=200,
                             max_iter=max_iter, coarsest=coarsest)
         error = result.max_error
         bad = any(not rep.converged for rep in result.reports)
-        rate = None if prev_error is None else float(np.log2(prev_error / error))
+        # observed order: error reduction per halving of h
+        rate = None
+        if prev_error is not None and N != prev_N:
+            rate = float(np.log2(prev_error / error) / np.log2(N / prev_N))
         rows.append(BenchRow(N=N, error=float(error) if not bad else float("nan"),
                              rate=rate if not bad else None,
                              cpu=result.solve_time,
                              iter=result.avg_iterations))
-        prev_error = error
+        prev_N, prev_error = N, error
     return rows
 
 

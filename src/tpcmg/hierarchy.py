@@ -27,10 +27,6 @@ __all__ = [
     "build_hierarchy",
 ]
 
-# counts build_hierarchy calls; the time stepper asserts one build per run
-build_counter = 0
-
-
 def restrict(x):
     """Full weighting: (Rx)_i = (x_{2i-1} + 2 x_{2i} + x_{2i+1}) / 4."""
     x = np.asarray(x, dtype=float)
@@ -264,8 +260,6 @@ def build_hierarchy(finest, coarsest_size_limit=7):
         raise ValueError(f"finest size must be 2^(K+1)-1, got {n}")
     if coarsest_size_limit < 3:
         raise ValueError("coarsest size limit must be at least 3")
-    global build_counter
-    build_counter += 1
     levels = [finest]
     while levels[-1].n > coarsest_size_limit:
         levels.append(_coarsen_level(levels[-1]))

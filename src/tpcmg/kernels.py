@@ -1,9 +1,12 @@
 """FFT-backed structured matrix kernels.
 
-Circulant, square-Toeplitz, rectangular-Toeplitz and Toeplitz-plus-Cross
-matrix-vector products, all in O(n log n) via circulant embedding.  The
-operator classes here store only generating sequences (O(n) memory) and are
-immutable after construction, so they can be shared freely across threads;
+Square-Toeplitz and Toeplitz-plus-Cross matrix-vector products in
+O(n log n) via circulant embedding.  A Toeplitz-plus-Cross product runs its
+four Toeplitz blocks as one fused 2x2 block kernel: one batched rfft of the
+(v, wbar) rows, a contraction with the blocks' cached embedded symbols and
+one batched irfft.  The operator classes here store only generating
+sequences (O(n) memory) and are immutable after construction apart from
+lazily filled symbol caches, so they can be shared freely across threads;
 transform scratch space is allocated per call.
 """
 
@@ -14,32 +17,29 @@ import scipy.fft as _fft
 
 __all__ = [
     "ToeplitzSpec",
-    "RectToeplitzSpec",
     "BandedCorrection",
     "BlockVector",
     "TpcOperator",
-    "circulant_matvec",
     "toeplitz_matvec",
-    "rect_toeplitz_matvec_wide",
-    "rect_toeplitz_matvec_tall",
-    "tpc_matvec",
 ]
 
 
-def circulant_matvec(first_col, x):
-    """Multiply the circulant matrix with given first column by ``x``.
+def _embedding_length(m):
+    """Length of the embedding circulant of an m x m Toeplitz block."""
+    return _fft.next_fast_len(2 * m - 1, real=True)
 
-    Computed as ifft(fft(c) * fft(x)); real-input transforms are used, so
-    the result is real by construction.
-    """
-    c = np.asarray(first_col, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if c.ndim != 1 or c.shape != x.shape:
-        raise ValueError(f"length mismatch: first_col {c.shape} vs x {x.shape}")
-    n = c.size
-    if n < 1:
-        raise ValueError("empty circulant")
-    return _fft.irfft(_fft.rfft(c) * _fft.rfft(x), n)
+
+def _embedding_column(spec, length):
+    """First column of the length-``length`` circulant whose leading m x m
+    block is ``spec``: t_0, t_{-1}, ..., t_{-(m-1)}, zeros, t_{m-1}, ..., t_1,
+    written straight from the stored window."""
+    col = np.zeros(length)
+    lo, data = spec.lo, spec.data
+    split = min(max(1 - lo, 0), data.size)        # data[:split]: offsets <= 0
+    col[1 - lo - split:1 - lo] = data[:split][::-1]
+    hi = lo + data.size - 1                       # data[split:]: offsets >= 1
+    col[length - hi:length - lo - split + 1] = data[split:][::-1]
+    return col
 
 
 class ToeplitzSpec:
@@ -69,14 +69,6 @@ class ToeplitzSpec:
             self.lo = int(nz[0]) - (m - 1)
             self.data = coeffs[nz[0]:nz[-1] + 1].copy()
         self._symbol = None
-
-    @classmethod
-    def from_window(cls, m, lo, data, symmetric=False):
-        """Build from a stored window without materializing the full sequence."""
-        full = np.zeros(2 * m - 1)
-        data = np.asarray(data, dtype=float)
-        full[lo + m - 1:lo + m - 1 + data.size] = data
-        return cls(m, full, symmetric=symmetric)
 
     @classmethod
     def identity(cls, m):
@@ -123,14 +115,8 @@ class ToeplitzSpec:
     def _embedded_symbol(self):
         """rfft of the first column of the embedding circulant (cached)."""
         if self._symbol is None:
-            m = self.m
-            length = _fft.next_fast_len(max(2 * m - 1, 1), real=True)
-            col = np.zeros(length)
-            full = self.coeffs
-            col[:m] = full[m - 1::-1]            # t_0, t_{-1}, ..., t_{-(m-1)}
-            if m > 1:
-                col[length - (m - 1):] = full[:m - 1:-1]  # t_{m-1}, ..., t_1
-            self._symbol = (length, _fft.rfft(col))
+            length = _embedding_length(self.m)
+            self._symbol = (length, _fft.rfft(_embedding_column(self, length)))
         return self._symbol
 
 
@@ -141,65 +127,6 @@ def toeplitz_matvec(T, x):
         raise ValueError(f"x must have length {T.m}, got {x.shape}")
     length, symbol = T._embedded_symbol()
     return _fft.irfft(symbol * _fft.rfft(x, length), length)[:T.m]
-
-
-class RectToeplitzSpec:
-    """Rectangular Toeplitz block: entry (i, j) = b[j - i].
-
-    Offsets run over [-(rows-1), cols-1]; the sequence has rows+cols-1
-    entries.  Matvecs complete the block to a square Toeplitz matrix with
-    zero-filled unspecified coefficients.
-    """
-
-    def __init__(self, rows, cols, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if rows < 1 or cols < 1:
-            raise ValueError("rows and cols must be positive")
-        if coeffs.shape != (rows + cols - 1,):
-            raise ValueError(
-                f"coeffs must have length rows+cols-1={rows + cols - 1}, got {coeffs.shape}")
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.coeffs = coeffs.copy()   # index l + rows - 1
-        self._square = None
-
-    def coeff(self, l):
-        k = l + self.rows - 1
-        if 0 <= k < self.coeffs.size:
-            return self.coeffs[k]
-        return 0.0
-
-    def _completed(self):
-        """Square Toeplitz of size max(rows, cols) with zero-filled triangle."""
-        if self._square is None:
-            n = max(self.rows, self.cols)
-            full = np.zeros(2 * n - 1)
-            # offsets available: -(rows-1) .. cols-1
-            full[(n - 1) - (self.rows - 1):(n - 1) + self.cols] = self.coeffs
-            self._square = ToeplitzSpec(n, full)
-        return self._square
-
-
-def rect_toeplitz_matvec_wide(B, w):
-    """Product B @ w for a wide block (rows < cols): first rows of B_T w."""
-    if B.rows >= B.cols:
-        raise ValueError("wide matvec requires rows < cols")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (B.cols,):
-        raise ValueError(f"w must have length {B.cols}, got {w.shape}")
-    return toeplitz_matvec(B._completed(), w)[:B.rows]
-
-
-def rect_toeplitz_matvec_tall(C, v):
-    """Product C @ v for a tall block (rows > cols): C_T applied to padded v."""
-    if C.rows <= C.cols:
-        raise ValueError("tall matvec requires rows > cols")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (C.cols,):
-        raise ValueError(f"v must have length {C.cols}, got {v.shape}")
-    padded = np.zeros(C.rows)
-    padded[:C.cols] = v
-    return toeplitz_matvec(C._completed(), padded)
 
 
 class BandedCorrection:
@@ -306,13 +233,6 @@ class BlockVector:
         return BlockVector.from_array(self.data)
 
 
-def _as_array(x, n):
-    arr = x.data if isinstance(x, BlockVector) else np.asarray(x, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"vector must have length {n}, got {arr.shape}")
-    return arr
-
-
 class TpcOperator:
     """One level's Toeplitz-plus-Cross operator.
 
@@ -351,6 +271,7 @@ class TpcOperator:
         if symmetric:
             self._check_symmetric()
         self._diag = None
+        self._symbols = None
 
     def _check_symmetric(self):
         ok = (self.A.symmetric and self.Dbar.symmetric
@@ -368,18 +289,45 @@ class TpcOperator:
                    np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m), 1.0,
                    symmetric=True)
 
+    def _block_symbols(self):
+        """(L, S) with S[0] the embedded symbols of (A, Dbar) and S[1] those
+        of (Bbar, Cbar), each the rfft of a length-L embedding column;
+        computed on the first matvec and cached."""
+        if self._symbols is None:
+            length = _embedding_length(self.m)
+            S = np.empty((2, 2, length // 2 + 1), dtype=complex)
+            for k, spec in enumerate((self.A, self.Dbar, self.Bbar, self.Cbar)):
+                S[k // 2, k % 2] = _fft.rfft(_embedding_column(spec, length))
+            self._symbols = (length, S)
+        return self._symbols
+
     def matvec(self, x):
-        """Product with a length-n array: four Toeplitz matvecs, the O(m)
-        cross terms, and the banded correction."""
+        """Product with a length-n array: the four Toeplitz blocks as one
+        fused block kernel (a batched rfft of the rows v, wbar, the 2x2
+        symbol contraction and a batched irfft), the O(m) cross terms, and
+        the banded correction."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"x must have length {self.n}, got {x.shape}")
         m = self.m
         v, wo, wbar = x[:m], x[m], x[m + 1:]
-        yv = toeplitz_matvec(self.A, v) + toeplitz_matvec(self.Bbar, wbar) + self.p * wo
-        yo = self.q @ v + self.o * wo + self.zeta @ wbar
-        yw = toeplitz_matvec(self.Cbar, v) + toeplitz_matvec(self.Dbar, wbar) + self.xi * wo
-        y = np.concatenate([yv, [yo], yw])
+        length, S = self._block_symbols()
+        X = np.zeros((2, length))
+        X[0, :m] = v
+        X[1, :m] = wbar
+        X = _fft.rfft(X)
+        off = X[::-1] * S[1]            # (Bbar wbar, Cbar v)
+        X *= S[0]                       # (A v, Dbar wbar)
+        X += off
+        # free each spectrum before the next allocation: at most two (2, L)
+        # buffers are alive at once, which bounds the transient memory
+        del off
+        Z = _fft.irfft(X, length, overwrite_x=True)
+        del X
+        y = np.empty(self.n)
+        y[:m] = Z[0, :m] + wo * self.p
+        y[m] = self.q @ v + self.o * wo + self.zeta @ wbar
+        y[m + 1:] = Z[1, :m] + wo * self.xi
         if self.banded is not None:
             y += self.banded.matvec(x)
         return y
@@ -435,9 +383,3 @@ class TpcOperator:
             count += self.banded.stored_count
         return count
 
-
-def tpc_matvec(op, x):
-    """BlockVector product with a TpcOperator (array inputs pass through)."""
-    if isinstance(x, BlockVector):
-        return BlockVector.from_array(op.matvec(x.data))
-    return op.matvec(x)

@@ -163,6 +163,10 @@ def tgm_factor_estimate(hier, trials=5, max_cycles=60, seed=0, cfg=None):
     settles; the maximum over trials is returned.  Requires the symmetric
     SPD variant (the A-norm is not defined otherwise).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if max_cycles < 1:
+        raise ValueError(f"max_cycles must be at least 1, got {max_cycles}")
     op = hier.finest
     if not op.symmetric:
         raise ValueError("two-grid factor estimate needs the symmetric SPD variant")

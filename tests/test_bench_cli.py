@@ -17,6 +17,14 @@ class TestRunTable:
         assert rows[1].rate == pytest.approx(np.log2(rows[0].error / rows[1].error))
         assert rows[1].error == pytest.approx(1.1628e-05, rel=0.01)
 
+    def test_rate_is_order_per_halving_of_h(self):
+        rows = run_table("pd-sym", [16, 64, 128, 128], delta=0.25)
+        e = [r.error for r in rows]
+        assert rows[1].rate == pytest.approx(np.log2(e[0] / e[1]) / 2.0)
+        assert 3.5 <= rows[1].rate <= 4.5
+        assert rows[2].rate == float(np.log2(e[1] / e[2]))   # doubling: unchanged
+        assert rows[3].rate is None                           # repeated N: no order
+
     def test_csv_layout_and_determinism(self):
         rows1 = run_table("gamma", [16, 32], gamma=0.5)
         rows2 = run_table("gamma", [16, 32], gamma=0.5)

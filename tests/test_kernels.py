@@ -2,40 +2,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tpcmg import (BandedCorrection, BlockVector, RectToeplitzSpec,
-                   ToeplitzSpec, TpcOperator, circulant_matvec,
-                   rect_toeplitz_matvec_tall, rect_toeplitz_matvec_wide,
-                   toeplitz_matvec, tpc_matvec)
+from tpcmg import (BandedCorrection, BlockVector, ToeplitzSpec, TpcOperator,
+                   toeplitz_matvec)
 from tpcmg.oracle import dense_expand
 
 from conftest import dense_toeplitz, random_tpc
-
-
-class TestCirculant:
-    def test_identity(self):
-        assert np.allclose(circulant_matvec([1, 0, 0], [3, 7, 2]), [3, 7, 2])
-
-    def test_cyclic_shift(self):
-        assert np.allclose(circulant_matvec([0, 1, 0], [1, 2, 3]), [3, 1, 2])
-
-    def test_constant_nullspace(self):
-        out = circulant_matvec([2, -1, -1], [1, 1, 1])
-        assert np.abs(out).max() < 1e-14
-
-    def test_identity_neutrality(self, rng):
-        n = 17
-        c = rng.standard_normal(n)
-        x = rng.standard_normal(n)
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        once = circulant_matvec(c, x)
-        twice = circulant_matvec(c, circulant_matvec(e1, x))
-        assert np.abs(once - twice).max() < 1e-13
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            circulant_matvec([1, 0], [1, 2, 3])
 
 
 class TestToeplitz:
@@ -96,62 +70,6 @@ class TestToeplitz:
         spec = ToeplitzSpec.identity(4)
         with pytest.raises(ValueError):
             toeplitz_matvec(spec, np.ones(5))
-
-
-class TestRectToeplitz:
-    def test_wide_all_ones(self):
-        B = RectToeplitzSpec(2, 3, np.ones(4))
-        assert np.allclose(rect_toeplitz_matvec_wide(B, [1, 1, 1]), [3, 3])
-
-    def test_wide_basis_vector_gives_first_column(self):
-        M, N = 4, 7
-        coeffs = np.arange(-(M - 1), N, dtype=float)
-        B = RectToeplitzSpec(M, N, coeffs)
-        e1 = np.zeros(N)
-        e1[0] = 1.0
-        first_col = np.array([B.coeff(-i) for i in range(M)])
-        assert np.allclose(rect_toeplitz_matvec_wide(B, e1), first_col)
-
-    def test_tall_all_ones(self):
-        C = RectToeplitzSpec(3, 2, np.ones(4))
-        assert np.allclose(rect_toeplitz_matvec_tall(C, [1, 1]), [2, 2, 2])
-
-    def test_tall_identity_prefix(self, rng):
-        # C = first M columns of the N x N identity: result is [v; zeros]
-        N, M = 6, 4
-        coeffs = np.zeros(N + M - 1)
-        coeffs[N - 1] = 1.0    # offset 0
-        C = RectToeplitzSpec(N, M, coeffs)
-        v = rng.standard_normal(M)
-        out = rect_toeplitz_matvec_tall(C, v)
-        assert np.allclose(out, np.concatenate([v, np.zeros(N - M)]))
-
-    @pytest.mark.parametrize("shape", [(63, 64), (17, 40), (2, 3)])
-    def test_wide_vs_dense(self, rng, shape):
-        M, N = shape
-        coeffs = rng.standard_normal(M + N - 1)
-        B = RectToeplitzSpec(M, N, coeffs)
-        dense = np.array([[B.coeff(j - i) for j in range(N)] for i in range(M)])
-        w = rng.standard_normal(N)
-        assert np.abs(rect_toeplitz_matvec_wide(B, w) - dense @ w).max() < 1e-12 * (
-            1 + np.abs(dense @ w).max())
-
-    @pytest.mark.parametrize("shape", [(64, 63), (40, 17), (3, 2)])
-    def test_tall_vs_dense(self, rng, shape):
-        N, M = shape
-        coeffs = rng.standard_normal(N + M - 1)
-        C = RectToeplitzSpec(N, M, coeffs)
-        dense = np.array([[C.coeff(j - i) for j in range(M)] for i in range(N)])
-        v = rng.standard_normal(M)
-        assert np.abs(rect_toeplitz_matvec_tall(C, v) - dense @ v).max() < 1e-12 * (
-            1 + np.abs(dense @ v).max())
-
-    def test_orientation_errors(self):
-        sq = RectToeplitzSpec(3, 3, np.ones(5))
-        with pytest.raises(ValueError):
-            rect_toeplitz_matvec_wide(sq, np.ones(3))
-        with pytest.raises(ValueError):
-            rect_toeplitz_matvec_tall(sq, np.ones(3))
 
 
 class TestBlockVector:
@@ -216,13 +134,6 @@ class TestTpcOperator:
         rhs = a * op.matvec(x) + b * op.matvec(y)
         assert np.abs(lhs - rhs).max() < 1e-12 * (1 + np.abs(rhs).max())
 
-    def test_block_vector_surface(self, rng):
-        op = random_tpc(rng, 8)
-        bv = BlockVector(rng.standard_normal(8), rng.standard_normal(9))
-        out = tpc_matvec(op, bv)
-        assert isinstance(out, BlockVector)
-        assert np.allclose(out.data, op.matvec(bv.data))
-
     def test_symmetric_flag_validation(self, rng):
         op = random_tpc(rng, 5)
         with pytest.raises(ValueError):
@@ -241,6 +152,58 @@ class TestTpcOperator:
         op = random_tpc(rng, 5)
         with pytest.raises(ValueError):
             op.matvec(np.ones(op.n + 1))
+
+
+def _windowed_spec(rng, m, short, sym=False):
+    """Random ToeplitzSpec whose nonzero window may be a short subrange."""
+    c = rng.standard_normal(2 * m - 1)
+    if short:
+        lo, hi = np.sort(rng.integers(-(m - 1), m, size=2))
+        if sym:
+            hi = max(-lo, hi)
+            lo = -hi
+        l = np.arange(-(m - 1), m)
+        c[(l < lo) | (l > hi)] = 0.0
+    if sym:
+        c = 0.5 * (c + c[::-1])
+    return ToeplitzSpec(m, c, symmetric=sym)
+
+
+def _assert_matches_dense(op, x):
+    dense = dense_expand(op)
+    ref = dense @ x
+    scale = 1.0 + np.abs(x).max() * np.abs(dense).sum(axis=1).max()
+    assert np.abs(op.matvec(x) - ref).max() <= 1e-11 * scale
+
+
+half_sizes = st.one_of(st.sampled_from([1, 2, 3]),
+                       st.integers(1, 9).map(lambda k: 2 ** k - 1),
+                       st.integers(1, 600))
+
+
+class TestFusedKernelRandomised:
+    @settings(max_examples=60, deadline=None)
+    @given(m=half_sizes, symmetric=st.booleans(), short=st.booleans(),
+           bw=st.one_of(st.none(), st.integers(0, 2)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matvec_vs_dense(self, m, symmetric, short, bw, seed):
+        rng = np.random.default_rng(seed)
+        A = _windowed_spec(rng, m, short, sym=symmetric)
+        D = _windowed_spec(rng, m, short, sym=symmetric)
+        B = _windowed_spec(rng, m, short)
+        C = B.transpose() if symmetric else _windowed_spec(rng, m, short)
+        p, xi = rng.standard_normal(m), rng.standard_normal(m)
+        q, zeta = (p, xi) if symmetric else (rng.standard_normal(m), rng.standard_normal(m))
+        banded = None if bw is None else random_tpc(rng, m, symmetric, banded_bw=bw).banded
+        op = TpcOperator(A, B, C, D, p, q, xi, zeta, float(rng.standard_normal()),
+                         banded=banded, symmetric=symmetric)
+        x = rng.standard_normal(op.n)
+        _assert_matches_dense(op, x)
+        # derived operators start from their own caches, not the parent's
+        other = random_tpc(rng, m, symmetric, banded_bw=1).banded
+        for derived in (op.scale_shift(0.3, 1.7), op.with_banded(other), op.without_banded()):
+            _assert_matches_dense(derived, x)
+        _assert_matches_dense(op, x)
 
 
 @pytest.mark.slow

@@ -174,3 +174,13 @@ class TestTgmFactor:
         hier = build_hierarchy(random_tpc(rng, 7))
         with pytest.raises(ValueError):
             tgm_factor_estimate(hier)
+
+    def test_zero_cycles_rejected(self):
+        hier, _ = spd_hierarchy(16, 1)
+        with pytest.raises(ValueError, match="max_cycles"):
+            tgm_factor_estimate(hier, max_cycles=0)
+
+    def test_zero_trials_rejected(self):
+        hier, _ = spd_hierarchy(16, 1)
+        with pytest.raises(ValueError, match="trials"):
+            tgm_factor_estimate(hier, trials=0)

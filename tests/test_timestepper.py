@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,23 @@ class TestMarch:
         problem = pd_manufactured_problem(PdModelConfig(N=16, delta=0.25, symmetric=True))
         result = bdf4_march(problem, TransientConfig(tau=1.0 / 16.0))
         assert result.hierarchy_builds == 1
+
+    def test_hierarchy_builds_counted_per_march_across_threads(self):
+        results = [None, None]
+        start = threading.Barrier(2)
+
+        def march(i):
+            problem = pd_manufactured_problem(PdModelConfig(N=16, delta=0.25, symmetric=True))
+            start.wait(timeout=60)
+            results[i] = bdf4_march(problem, TransientConfig(tau=1.0 / 16.0))
+
+        threads = [threading.Thread(target=march, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert [r.hierarchy_builds for r in results] == [1, 1]
 
     def test_quadratic_steady_state_reproduced(self):
         """Collocation is exact on quadratics: u = (1+x)^2, f = u_t + Ku = -2,

@@ -1,7 +1,7 @@
 """FFT-backed structured matrix kernels.
 
-Square-Toeplitz and Toeplitz-plus-Cross matrix-vector products in
-O(n log n) via circulant embedding.  A Toeplitz-plus-Cross product runs its
+Square-Toeplitz, rectangular-Toeplitz and Toeplitz-plus-Cross
+matrix-vector products in O(n log n) via circulant embedding.  A Toeplitz-plus-Cross product runs its
 four Toeplitz blocks as one fused 2x2 block kernel: one batched rfft of the
 (v, wbar) rows, a contraction with the blocks' cached embedded symbols and
 one batched irfft.  The operator classes here store only generating
@@ -17,10 +17,13 @@ import scipy.fft as _fft
 
 __all__ = [
     "ToeplitzSpec",
+    "RectToeplitzSpec",
     "BandedCorrection",
     "BlockVector",
     "TpcOperator",
     "toeplitz_matvec",
+    "rect_toeplitz_matvec_wide",
+    "rect_toeplitz_matvec_tall",
 ]
 
 
@@ -127,6 +130,54 @@ def toeplitz_matvec(T, x):
         raise ValueError(f"x must have length {T.m}, got {x.shape}")
     length, symbol = T._embedded_symbol()
     return _fft.irfft(symbol * _fft.rfft(x, length), length)[:T.m]
+
+
+class RectToeplitzSpec:
+    """Rectangular Toeplitz block: entry (i, j) = b[j - i].
+
+    Offsets run over [-(rows-1), cols-1]; the sequence has rows+cols-1
+    entries.  Matvecs run on ``square``, the completion to a square Toeplitz
+    matrix of size max(rows, cols) with zero-filled unspecified coefficients.
+    """
+
+    def __init__(self, rows, cols, coeffs):
+        coeffs = np.asarray(coeffs, dtype=float)
+        if rows < 1 or cols < 1:
+            raise ValueError("rows and cols must be positive")
+        if coeffs.shape != (rows + cols - 1,):
+            raise ValueError(
+                f"coeffs must have length rows+cols-1={rows + cols - 1}, got {coeffs.shape}")
+        self.rows, self.cols = int(rows), int(cols)
+        n = max(self.rows, self.cols)
+        full = np.zeros(2 * n - 1)
+        full[n - self.rows:n - 1 + self.cols] = coeffs
+        self.square = ToeplitzSpec(n, full)
+
+    @property
+    def coeffs(self):
+        """The sequence b, index l + rows - 1."""
+        n = self.square.m
+        return self.square.coeffs[n - self.rows:n - 1 + self.cols]
+
+    def coeff(self, l):
+        return self.square.coeff(l)
+
+
+def rect_toeplitz_matvec_wide(B, w):
+    """Product B @ w for a wide block (rows < cols): first rows of B_T w."""
+    if B.rows >= B.cols:
+        raise ValueError("wide matvec requires rows < cols")
+    return toeplitz_matvec(B.square, w)[:B.rows]
+
+
+def rect_toeplitz_matvec_tall(C, v):
+    """Product C @ v for a tall block (rows > cols): C_T applied to padded v."""
+    if C.rows <= C.cols:
+        raise ValueError("tall matvec requires rows > cols")
+    v = np.asarray(v, dtype=float)
+    if v.shape != (C.cols,):
+        raise ValueError(f"v must have length {C.cols}, got {v.shape}")
+    return toeplitz_matvec(C.square, np.concatenate([v, np.zeros(C.rows - C.cols)]))
 
 
 class BandedCorrection:

@@ -13,7 +13,9 @@ import pytest
 
 from tpcmg import (PdModelConfig, ToeplitzSpec, TpcOperator,
                    assemble_pd_system, build_hierarchy, coarsen_banded,
-                   coarsen_tpc, tgm_factor_estimate, toeplitz_matvec)
+                   coarsen_tpc, tgm_factor_estimate, toeplitz_matvec,
+                   rect_toeplitz_matvec_tall, rect_toeplitz_matvec_wide,
+                   RectToeplitzSpec)
 from tpcmg.bench import run_scaling, run_table
 from tpcmg.oracle import certify_section4, dense_expand, dense_galerkin
 from tpcmg.timestepper import build_step_operator
@@ -96,6 +98,23 @@ def test_criterion_3_fft_equals_dense(rng):
         worst = max(worst, float(np.abs(
             toeplitz_matvec(spec, x) - dense_toeplitz(spec) @ x).max()))
         trials += 1
+    def dense_rect(spec):
+        offsets = np.arange(spec.cols)[None, :] - np.arange(spec.rows)[:, None]
+        return spec.coeffs[offsets + spec.rows - 1]
+
+    for rows, cols in ((63, 64), (500, 777), (4096, 4097), (129, 1024)):   # wide
+        co = rng.uniform(-1, 1, rows + cols - 1)
+        co /= 1.0 + np.abs(co).sum()
+        B = RectToeplitzSpec(rows, cols, co)
+        w = rng.uniform(-1, 1, cols)
+        worst = max(worst, float(np.abs(
+            rect_toeplitz_matvec_wide(B, w) - dense_rect(B) @ w).max()))
+        C = RectToeplitzSpec(cols, rows, rng.uniform(-1, 1, rows + cols - 1)
+                             / (rows + cols))                              # tall
+        v = rng.uniform(-1, 1, rows)
+        worst = max(worst, float(np.abs(
+            rect_toeplitz_matvec_tall(C, v) - dense_rect(C) @ v).max()))
+        trials += 2
     while trials < 100:                                  # Toeplitz-plus-Cross
         m = int(rng.integers(3, 2049)) if trials % 3 else 2048
         op = random_tpc(rng, m, symmetric=(trials % 2 == 0),

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpcmg import (BandedCorrection, BlockVector, ToeplitzSpec, TpcOperator,
-                   toeplitz_matvec)
+from tpcmg import (BandedCorrection, BlockVector, RectToeplitzSpec,
+                   ToeplitzSpec, TpcOperator, rect_toeplitz_matvec_tall,
+                   rect_toeplitz_matvec_wide, toeplitz_matvec)
 from tpcmg.oracle import dense_expand
 
 from conftest import dense_toeplitz, random_tpc
@@ -70,6 +71,62 @@ class TestToeplitz:
         spec = ToeplitzSpec.identity(4)
         with pytest.raises(ValueError):
             toeplitz_matvec(spec, np.ones(5))
+
+
+class TestRectToeplitz:
+    def test_wide_all_ones(self):
+        B = RectToeplitzSpec(2, 3, np.ones(4))
+        assert np.allclose(rect_toeplitz_matvec_wide(B, [1, 1, 1]), [3, 3])
+
+    def test_wide_basis_vector_gives_first_column(self):
+        M, N = 4, 7
+        coeffs = np.arange(-(M - 1), N, dtype=float)
+        B = RectToeplitzSpec(M, N, coeffs)
+        e1 = np.zeros(N)
+        e1[0] = 1.0
+        first_col = np.array([B.coeff(-i) for i in range(M)])
+        assert np.allclose(rect_toeplitz_matvec_wide(B, e1), first_col)
+
+    def test_tall_all_ones(self):
+        C = RectToeplitzSpec(3, 2, np.ones(4))
+        assert np.allclose(rect_toeplitz_matvec_tall(C, [1, 1]), [2, 2, 2])
+
+    def test_tall_identity_prefix(self, rng):
+        # C = first M columns of the N x N identity: result is [v; zeros]
+        N, M = 6, 4
+        coeffs = np.zeros(N + M - 1)
+        coeffs[N - 1] = 1.0    # offset 0
+        C = RectToeplitzSpec(N, M, coeffs)
+        v = rng.standard_normal(M)
+        out = rect_toeplitz_matvec_tall(C, v)
+        assert np.allclose(out, np.concatenate([v, np.zeros(N - M)]))
+
+    @pytest.mark.parametrize("shape", [(63, 64), (17, 40), (2, 3)])
+    def test_wide_vs_dense(self, rng, shape):
+        M, N = shape
+        coeffs = rng.standard_normal(M + N - 1)
+        B = RectToeplitzSpec(M, N, coeffs)
+        dense = np.array([[B.coeff(j - i) for j in range(N)] for i in range(M)])
+        w = rng.standard_normal(N)
+        assert np.abs(rect_toeplitz_matvec_wide(B, w) - dense @ w).max() < 1e-12 * (
+            1 + np.abs(dense @ w).max())
+
+    @pytest.mark.parametrize("shape", [(64, 63), (40, 17), (3, 2)])
+    def test_tall_vs_dense(self, rng, shape):
+        N, M = shape
+        coeffs = rng.standard_normal(N + M - 1)
+        C = RectToeplitzSpec(N, M, coeffs)
+        dense = np.array([[C.coeff(j - i) for j in range(M)] for i in range(N)])
+        v = rng.standard_normal(M)
+        assert np.abs(rect_toeplitz_matvec_tall(C, v) - dense @ v).max() < 1e-12 * (
+            1 + np.abs(dense @ v).max())
+
+    def test_orientation_errors(self):
+        sq = RectToeplitzSpec(3, 3, np.ones(5))
+        with pytest.raises(ValueError):
+            rect_toeplitz_matvec_wide(sq, np.ones(3))
+        with pytest.raises(ValueError):
+            rect_toeplitz_matvec_tall(sq, np.ones(3))
 
 
 class TestBlockVector:

@@ -190,15 +190,23 @@ def _coarsen_level(op):
     return coarse
 
 
-def _dense_from_matvec(op):
-    n = op.n
-    out = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        out[:, j] = op.matvec(e)
-        e[j] = 0.0
-    return out
+def _factor_coarsest(op):
+    """LU factors of the coarsest level, as sla.lu_factor returns them.
+
+    A non-finite matrix, or one singular to working precision (a pivot
+    within n * eps * max|LU| of zero, the rule of oracle.dense_solve), is
+    rejected with ValueError.
+    """
+    dense = op.dense()
+    if not np.isfinite(dense).all():
+        raise ValueError(f"coarsest level of size n = {op.n} has non-finite entries")
+    # getrf directly: lu_factor would first warn on an exact zero pivot
+    lu, piv, _ = sla.lapack.dgetrf(dense)
+    tiny = np.finfo(float).eps * max(float(np.abs(lu).max()), 1.0) * op.n
+    if np.any(np.abs(np.diag(lu)) <= tiny):
+        raise ValueError(f"coarsest level of size n = {op.n} is singular "
+                         "to working precision")
+    return lu, piv
 
 
 class Hierarchy:
@@ -212,7 +220,7 @@ class Hierarchy:
                 raise ValueError("level sizes must halve: "
                                  f"{fine.n} -> {coarse.n}")
         self.levels = list(levels)
-        self.coarsest_lu = sla.lu_factor(_dense_from_matvec(levels[-1]))
+        self.coarsest_lu = _factor_coarsest(levels[-1])
 
     @property
     def depth(self):

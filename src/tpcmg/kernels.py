@@ -383,6 +383,29 @@ class TpcOperator:
             y += self.banded.matvec(x)
         return y
 
+    def dense(self):
+        """Dense n x n matrix, expanded entry by entry from the blocks, the
+        cross and the banded part (no matvecs)."""
+        m, n = self.m, self.n
+        out = np.zeros((n, n))
+        idx = np.arange(m)
+        offsets = idx[None, :] - idx[:, None]          # j - i
+        for block, (rows, cols) in (
+            (self.A, (slice(0, m), slice(0, m))),
+            (self.Bbar, (slice(0, m), slice(m + 1, n))),
+            (self.Cbar, (slice(m + 1, n), slice(0, m))),
+            (self.Dbar, (slice(m + 1, n), slice(m + 1, n))),
+        ):
+            out[rows, cols] = block.coeffs[offsets + m - 1]
+        out[:m, m] = self.p
+        out[m, :m] = self.q
+        out[m + 1:, m] = self.xi
+        out[m, m + 1:] = self.zeta
+        out[m, m] = self.o
+        if self.banded is not None:
+            out += self.banded.dense()
+        return out
+
     def diagonal(self):
         """Main diagonal: a_0 entries, o, d_0 entries plus the banded diagonal."""
         if self._diag is None:

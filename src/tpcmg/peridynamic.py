@@ -226,14 +226,30 @@ class CollarSamples:
 
 
 def sample_collar(cfg, g):
-    """Evaluate a callable g(x) on the collar nodes of cfg."""
+    """Evaluate g on the collar nodes of cfg with one array call.
+
+    g receives a 1-D float array of the 4r+2 collar coordinates (left_v,
+    left_w, right_v, right_w in that order) and must return an array of
+    that shape, or anything that broadcasts to it (a scalar constant does);
+    other shapes raise ValueError.
+    """
     h, N, r = cfg.h, cfg.N, cfg.r
-    return CollarSamples(
-        left_v=np.asarray([g(i * h) for i in range(-r, 1)], dtype=float),
-        left_w=np.asarray([g((i + 0.5) * h) for i in range(-r, 0)], dtype=float),
-        right_v=np.asarray([g(i * h) for i in range(N, N + r + 1)], dtype=float),
-        right_w=np.asarray([g((i + 0.5) * h) for i in range(N, N + r)], dtype=float),
-    )
+    xs = np.concatenate([
+        np.arange(-r, 1) * h,
+        (np.arange(-r, 0) + 0.5) * h,
+        np.arange(N, N + r + 1) * h,
+        (np.arange(N, N + r) + 0.5) * h,
+    ])
+    gx = np.asarray(g(xs), dtype=float)
+    vals = np.empty_like(xs)
+    try:
+        vals[:] = gx
+    except ValueError:
+        raise ValueError(f"g must return shape {xs.shape} or a value that "
+                         f"broadcasts to it, got shape {gx.shape}") from None
+    left_v, left_w, right_v, right_w = np.split(vals, [r + 1, 2 * r + 1, 3 * r + 2])
+    return CollarSamples(left_v=left_v, left_w=left_w,
+                         right_v=right_v, right_w=right_w)
 
 
 def fold_boundary_rhs(system, F, collar):
@@ -243,6 +259,11 @@ def fold_boundary_rhs(system, F, collar):
     receive the exterior-stencil sums; the result keeps forcing units, so
     op @ U = eta_h * F_folded reproduces constants exactly (validated
     against dense elimination of the full-domain operator in the tests).
+
+    Each sum is an entry of the full linear convolution of a collar vector
+    with one of the weight vectors wA, wB (v rows) or wC, wD (w rows): the
+    left collar as stored, the right collar reversed, so one step costs
+    eight np.convolve calls of length O(r).
     """
     cfg = system.cfg
     N, r, eta = cfg.N, cfg.r, system.scale
@@ -259,16 +280,20 @@ def fold_boundary_rhs(system, F, collar):
     Fw = data[N - 1:]
     wA, wB, wC, wD = system.wA, system.wB, system.wC, system.wD
 
-    for j in range(1, r + 1):
-        lf = lv[j - 1:r + 1] @ wA[j - 1:r + 1][::-1] + lw[j - 1:r] @ wB[j - 1:r][::-1]
-        rf = rv[:r + 2 - j] @ wA[j - 1:r + 1] + rw[:r + 1 - j] @ wB[j - 1:r]
-        Fv[j - 1] -= lf / eta
-        Fv[N - 1 - j] -= rf / eta
-    for j in range(1, r + 2):
-        lf = lv[j - 1:r + 1] @ wC[j - 1:r + 1][::-1] + lw[j - 1:r] @ wD[j - 1:r][::-1]
-        rf = rv[:r + 2 - j] @ wC[j - 1:r + 1] + rw[:r + 1 - j] @ wD[j - 1:r]
-        Fw[j - 1] -= lf / eta
-        Fw[N - j] -= rf / eta
+    def sums(cv, cw):
+        # v rows j = 1..r and w rows j = 1..r+1, counted from the collar;
+        # the w-collar (length r) reaches no w row beyond j = r
+        sv = np.convolve(cv, wA)[r:2 * r] + np.convolve(cw, wB)[r - 1:2 * r - 1]
+        sw = np.convolve(cv, wC)[r:2 * r + 1]
+        sw[:r] += np.convolve(cw, wD)[r - 1:2 * r - 1]
+        return sv / eta, sw / eta
+
+    sv, sw = sums(lv, lw)
+    Fv[:r] -= sv
+    Fw[:r + 1] -= sw
+    sv, sw = sums(rv[::-1], rw[::-1])
+    Fv[N - 1 - r:] -= sv[::-1]
+    Fw[N - 1 - r:] -= sw[::-1]
     return BlockVector.from_array(data) if is_block else data
 
 

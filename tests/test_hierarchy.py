@@ -168,6 +168,19 @@ class TestBuildHierarchy:
             hier = build_hierarchy(system.op)
             assert hier.coefficient_storage() <= 8 * system.op.n
 
+    def test_singular_coarsest_rejected(self):
+        zero = TpcOperator.identity(7).scale_shift(0.0, 0.0)
+        with pytest.raises(ValueError, match=r"n = 7 is singular"):
+            build_hierarchy(zero)
+
+    def test_non_finite_coarsest_rejected(self):
+        m = 3
+        op = TpcOperator(ToeplitzSpec.identity(m), ToeplitzSpec.zero(m),
+                         ToeplitzSpec.zero(m), ToeplitzSpec.identity(m),
+                         np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m), np.nan)
+        with pytest.raises(ValueError, match=r"n = 7 has non-finite entries"):
+            build_hierarchy(op)
+
     def test_bad_finest_size(self, rng):
         with pytest.raises(ValueError):
             build_hierarchy(random_tpc(rng, 6))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpcmg import (BlockVector, PdModelConfig, assemble_pd_system,
                    fold_boundary_rhs, pd_coefficients, pd_exact_forcing,
@@ -142,10 +144,27 @@ class TestFolding:
         system = assemble_pd_system(cfg)
         _, exterior, ext_x = pd_full_domain_operator(cfg)
         gvals = {round(2 * N * x): rng.standard_normal() for x in ext_x}
-        g = lambda x: gvals[round(2 * N * x)]
+        g = lambda x: np.array([gvals[k] for k in
+                                np.rint(2 * N * np.atleast_1d(x)).astype(int)])
         F = rng.standard_normal(2 * N - 1)
         folded = fold_boundary_rhs(system, F, sample_collar(cfg, g))
-        gvec = np.array([g(x) for x in ext_x])
+        gvec = g(ext_x)
+        truth = F - (exterior @ gvec) / system.scale
+        assert np.abs(folded - truth).max() <= 1e-12 * (1 + np.abs(truth).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.sampled_from([4, 8, 16, 32, 64]), data=st.data(),
+           symmetric=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_r_matches_dense_elimination(self, N, data, symmetric, seed):
+        r = data.draw(st.integers(1, N - 2), label="r")
+        cfg = PdModelConfig(N=N, delta=r / N, symmetric=symmetric)
+        assert cfg.r == r
+        system = assemble_pd_system(cfg)
+        _, exterior, ext_x = pd_full_domain_operator(cfg)
+        rng = np.random.default_rng(seed)
+        gvec = rng.standard_normal(ext_x.size)
+        F = rng.standard_normal(2 * N - 1)
+        folded = fold_boundary_rhs(system, F, sample_collar(cfg, lambda x: gvec))
         truth = F - (exterior @ gvec) / system.scale
         assert np.abs(folded - truth).max() <= 1e-12 * (1 + np.abs(truth).max())
 
@@ -163,6 +182,30 @@ class TestFolding:
         collar.left_v = collar.left_v[:-1]
         with pytest.raises(ValueError):
             fold_boundary_rhs(system, np.zeros(15), collar)
+
+
+class TestCollar:
+    def test_g_called_once_on_collar_coordinates(self):
+        cfg = PdModelConfig(N=16, delta=0.25, symmetric=True)
+        calls = []
+        collar = sample_collar(cfg, lambda x: calls.append(x) or 2.0 * x)
+        assert len(calls) == 1
+        _, _, ext_x = pd_full_domain_operator(cfg)
+        np.testing.assert_allclose(calls[0], ext_x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(collar.left_v, 2.0 * ext_x[:cfg.r + 1])
+
+    def test_scalar_result_broadcasts(self):
+        cfg = PdModelConfig(N=8, delta=0.25, symmetric=True)
+        collar = sample_collar(cfg, lambda x: 1.5)
+        r = cfg.r
+        for name, size in (("left_v", r + 1), ("left_w", r),
+                           ("right_v", r + 1), ("right_w", r)):
+            assert np.array_equal(getattr(collar, name), np.full(size, 1.5))
+
+    def test_wrong_shape_rejected(self):
+        cfg = PdModelConfig(N=8, delta=0.25, symmetric=True)
+        with pytest.raises(ValueError, match="g must return shape"):
+            sample_collar(cfg, lambda x: np.ones(3))
 
 
 class TestForcing:

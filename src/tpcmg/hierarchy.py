@@ -221,6 +221,8 @@ class Hierarchy:
                                  f"{fine.n} -> {coarse.n}")
         self.levels = list(levels)
         self.coarsest_lu = _factor_coarsest(levels[-1])
+        # filled by the solver on first use, one entry per SmootherConfig
+        self.cycle_cache = {}
 
     @property
     def depth(self):

@@ -38,7 +38,11 @@ class TestRunTable:
         rows = run_table("pd-nonsym", [16], delta=0.25)
         out = table_json("pd-nonsym", {"delta": "0.25"}, rows)
         assert set(out) == {"model", "params", "rows"}
-        assert set(out["rows"][0]) == {"N", "error", "rate", "cpu", "iter"}
+        assert set(out["rows"][0]) == {"N", "error", "rate", "cpu", "iter", "wall"}
+
+    def test_wall_covers_assembly_and_march(self):
+        row, = run_table("pd-sym", [16], delta=0.25)
+        assert row.wall > row.cpu > 0.0
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
@@ -60,6 +64,12 @@ class TestRunVerify:
         lines, passed = run_verify("pd-nonsym", 16, delta=0.25)
         assert passed
         assert any("nonsymmetric: not applicable" in line for line in lines)
+
+    def test_skip_lines_shared_by_nonsymmetric_models(self):
+        gamma, _ = run_verify("gamma", 16, gamma=0.5)
+        nonsym, _ = run_verify("pd-nonsym", 16, delta=0.25)
+        assert gamma[1:] == nonsym[1:]
+        assert len(gamma) == 6 and all(line.startswith("SKIP") for line in gamma[1:])
 
 
 class TestRunScaling:
@@ -92,6 +102,12 @@ class TestCli:
         assert code == 0
         assert out.splitlines()[0] == "N,error,rate,cpu,iter"
         assert len(out.splitlines()) == 3
+
+    def test_table_pretty_has_wall_column(self, capsys):
+        code = main(["table", "--model", "pd-sym", "--N", "16", "--delta", "0.25"])
+        header = capsys.readouterr().out.splitlines()[0]
+        assert code == 0
+        assert header.split() == ["N", "error", "rate", "cpu[s]", "iter", "wall[s]"]
 
     def test_table_json(self, capsys):
         code = main(["table", "--model", "gamma", "--N", "16", "--gamma", "0.5",

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
                    ToeplitzSpec, TpcOperator, assemble_gamma_system,
@@ -102,6 +104,48 @@ class TestCoarsenTpc:
     def test_banded_rejected(self, rng):
         with pytest.raises(ValueError):
             coarsen_tpc(random_tpc(rng, 7, banded_bw=0))
+
+
+def _windowed_tpc(rng, m, symmetric):
+    """random_tpc with each generating sequence zeroed outside a random
+    band of offsets, so the stored windows are short."""
+    def window(spec, sym):
+        c = spec.coeffs.copy()
+        lo, hi = sorted(rng.integers(-(m - 1), m, size=2))
+        if sym:
+            lo, hi = -max(-lo, hi), max(-lo, hi)
+        c[:lo + m - 1] = 0.0
+        c[hi + m:] = 0.0
+        return ToeplitzSpec(m, c, symmetric=sym)
+
+    op = random_tpc(rng, m, symmetric=symmetric)
+    A, D, B = window(op.A, symmetric), window(op.Dbar, symmetric), window(op.Bbar, False)
+    C = B.transpose() if symmetric else window(op.Cbar, False)
+    return TpcOperator(A, B, C, D, op.p, op.q, op.xi, op.zeta, op.o,
+                       symmetric=symmetric)
+
+
+class TestCoarsenRandomised:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 6), symmetric=st.booleans(), short=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_tpc_vs_dense_galerkin(self, k, symmetric, short, seed):
+        rng = np.random.default_rng(seed)
+        m = 2 ** k - 1
+        fine = (_windowed_tpc if short else random_tpc)(rng, m, symmetric=symmetric)
+        coarse = coarsen_tpc(fine)
+        truth = dense_galerkin(dense_expand(fine))
+        assert np.abs(dense_expand(coarse) - truth).max() <= 1e-12
+        assert coarse.symmetric == symmetric
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 6), bw=st.integers(0, 3), symmetric=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_banded_vs_dense_galerkin(self, k, bw, symmetric, seed):
+        rng = np.random.default_rng(seed)
+        bc = random_tpc(rng, 2 ** k - 1, symmetric=symmetric, banded_bw=bw).banded
+        truth = dense_galerkin(bc.dense())
+        assert np.abs(coarsen_banded(bc).dense() - truth).max() <= 1e-13
 
 
 class TestCoarsenBanded:

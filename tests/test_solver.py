@@ -19,6 +19,35 @@ def spd_hierarchy(N, r, tau=None):
     return build_hierarchy(op), op
 
 
+def dense_vcycle(levels, cfg):
+    """Dense matrix of one V(m1, m2) cycle from the zero guess, built
+    recursively from the dense levels, R, P = 2 R^T and a dense solve at
+    the coarsest level."""
+    A = dense_expand(levels[0])
+    n = A.shape[0]
+    if len(levels) == 1:
+        return np.linalg.solve(A, np.eye(n))
+    R = restriction_matrix(n)
+    P = 2.0 * R.T
+    Dinv = np.diag(1.0 / np.diag(A))
+    X = np.zeros((n, n))
+    for _ in range(cfg.m1):
+        X = X + cfg.omega_pre * Dinv @ (np.eye(n) - A @ X)
+    X = X + P @ dense_vcycle(levels[1:], cfg) @ R @ (np.eye(n) - A @ X)
+    for _ in range(cfg.m2):
+        X = X + cfg.omega_post * Dinv @ (np.eye(n) - A @ X)
+    return X
+
+
+SMOOTHERS = [SmootherConfig(), SmootherConfig(m1=0), SmootherConfig(m1=2, m2=0),
+             SmootherConfig(omega_pre=0.7, omega_post=0.3)]
+
+
+def assert_matches_dense_cycle(hier, cfg, b):
+    ref = dense_vcycle(hier.levels, cfg) @ b
+    assert np.abs(vcycle(hier, b, cfg) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestJacobi:
     def test_identity_one_sweep(self, rng):
         op = TpcOperator.identity(5)
@@ -86,6 +115,31 @@ class TestVcycle:
         x_cycle = vcycle(two, b)
         assert np.abs((x_star - x_cycle) - e).max() <= 1e-10 * (1 + np.abs(e).max())
 
+    @pytest.mark.parametrize("N", [8, 16, 32, 64])        # finest n = 2N - 1
+    @pytest.mark.parametrize("cfg", SMOOTHERS)
+    def test_matches_dense_recursive_cycle(self, rng, N, cfg):
+        hier, op = spd_hierarchy(N, max(1, N // 8), tau=1.0 / N)
+        assert_matches_dense_cycle(hier, cfg, rng.standard_normal(op.n))
+
+    def test_nonsymmetric_matches_dense_recursive_cycle(self, rng):
+        system = assemble_pd_system(PdModelConfig(N=64, delta=0.25, symmetric=False))
+        hier = build_hierarchy(system.op.scale_shift(1.0 / 64 / system.scale, 25.0 / 12.0))
+        for cfg in SMOOTHERS:
+            assert_matches_dense_cycle(hier, cfg, rng.standard_normal(hier.finest.n))
+
+    def test_smoothers_alternate_on_one_hierarchy(self, rng):
+        hier, op = spd_hierarchy(64, 8, tau=1.0 / 64)
+        b = rng.standard_normal(op.n)
+        for cfg in (SMOOTHERS[0], SMOOTHERS[3], SMOOTHERS[0], SMOOTHERS[3]):
+            assert_matches_dense_cycle(hier, cfg, b)
+
+    def test_coarsest_31_has_no_tail(self, rng):
+        _, op = spd_hierarchy(64, 8, tau=1.0 / 64)
+        hier = build_hierarchy(op, coarsest_size_limit=31)
+        assert [level.n for level in hier.levels] == [127, 63, 31]
+        for cfg in SMOOTHERS[:2]:
+            assert_matches_dense_cycle(hier, cfg, rng.standard_normal(op.n))
+
     def test_contraction_bound_two_level(self, rng):
         hier, op = spd_hierarchy(8, 1)
         two = Hierarchy(hier.levels[:2])
@@ -127,6 +181,23 @@ class TestSolve:
         x, report = solve(hier, b)
         assert isinstance(x, BlockVector) and report.converged
         assert np.abs(op.matvec(x.data) - b.data).max() <= 1e-12 * np.abs(b.data).max()
+
+    @pytest.mark.parametrize("N", [8, 64])                # finest n = 15 and 127
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, rng, N, bad):
+        hier, op = spd_hierarchy(N, 1, tau=1.0 / N)
+        b = rng.standard_normal(op.n)
+        b[op.n // 3] = bad
+        with pytest.raises(ValueError, match="b has non-finite"):
+            solve(hier, b)
+        with pytest.raises(ValueError, match="b has non-finite"):
+            vcycle(hier, b)
+
+    def test_zero_diagonal_raises_on_first_use(self):
+        hier = Hierarchy([TpcOperator.identity(7).scale_shift(0.0, 0.0),
+                          TpcOperator.identity(3)])
+        with pytest.raises(SingularSmootherError):
+            solve(hier, np.ones(15))
 
     def test_max_iter_flagged_not_raised(self, rng):
         hier, op = spd_hierarchy(8, 1)

@@ -1,16 +1,20 @@
 """FFT-backed structured matrix kernels.
 
 Square-Toeplitz, rectangular-Toeplitz and Toeplitz-plus-Cross
-matrix-vector products in O(n log n) via circulant embedding.  A Toeplitz-plus-Cross product runs its
-four Toeplitz blocks as one fused 2x2 block kernel: one batched rfft of the
-(v, wbar) rows, a contraction with the blocks' cached embedded symbols and
-one batched irfft.  The operator classes here store only generating
-sequences (O(n) memory) and are immutable after construction apart from
-lazily filled symbol caches, so they can be shared freely across threads;
-transform scratch space is allocated per call.
+matrix-vector products in O(n log n) via circulant embedding.  A
+Toeplitz-plus-Cross product runs its four Toeplitz blocks as one fused 2x2
+block kernel: one batched rfft of the (v, wbar) rows, a contraction with
+the blocks' cached embedded symbols and one batched irfft (above an
+embedding length of 32768 the rows are transformed one at a time, which
+keeps each buffer at 512 KiB).  The operator classes here store only
+generating sequences (O(n) memory) and are immutable after construction
+apart from lazily filled symbol caches, so they can be shared freely across
+threads; transform scratch space is allocated per call.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import scipy.fft as _fft
@@ -25,6 +29,15 @@ __all__ = [
     "rect_toeplitz_matvec_wide",
     "rect_toeplitz_matvec_tall",
 ]
+
+
+# Above this embedding length the block kernel transforms its two rows one
+# at a time.  In a gamma N = 2^15 BDF4 march, batching the n = 65535 level's
+# (2, 65536) buffers (1 MiB) cost 5400-6400 minor page faults per step;
+# with that level row by row and n <= 32767 still batched (at most 512 KiB)
+# it cost under 50.  Below the cutover batching saves two transform calls
+# per matvec, which the small levels need.
+_BATCH_MAX_LENGTH = 32768
 
 
 def _embedding_length(m):
@@ -64,13 +77,15 @@ class ToeplitzSpec:
             raise ValueError("symmetric flag set but t_l != t_{-l}")
         self.m = int(m)
         self.symmetric = bool(symmetric)
-        nz = np.flatnonzero(coeffs)
-        if nz.size == 0:
+        # the window ends by argmax on a mask: no index array for dense windows
+        nz = coeffs != 0.0
+        if not nz.any():
             self.lo = 0
             self.data = np.zeros(1)
         else:
-            self.lo = int(nz[0]) - (m - 1)
-            self.data = coeffs[nz[0]:nz[-1] + 1].copy()
+            first, last = int(nz.argmax()), coeffs.size - 1 - int(nz[::-1].argmax())
+            self.lo = first - (m - 1)
+            self.data = coeffs[first:last + 1].copy()
         self._symbol = None
 
     @classmethod
@@ -217,11 +232,13 @@ class BandedCorrection:
         return d
 
     def matvec(self, x):
-        y = np.zeros(self.n)
+        """Product with x in a fresh array that starts as band_0 * x, with
+        the off-diagonal bands added into it."""
+        y = self.bands[0] * x if 0 in self.bands else np.zeros(self.n)
         for l, band in self.bands.items():
-            if l >= 0:
+            if l > 0:
                 y[:self.n - l] += band * x[l:]
-            else:
+            elif l < 0:
                 y[-l:] += band * x[:self.n + l]
         return y
 
@@ -315,22 +332,47 @@ class TpcOperator:
         self.o = float(o)
         self.m = m
         self.n = 2 * m + 1
-        if banded is not None and banded.n != self.n:
-            raise ValueError(f"banded correction size {banded.n} != {self.n}")
-        self.banded = banded
         self.symmetric = bool(symmetric)
-        if symmetric:
-            self._check_symmetric()
+        # a symmetric operator's Cbar, q and zeta equal finite pieces below
+        self._check_finite(("A", "Bbar", "Dbar", "p", "xi") if symmetric else
+                           ("A", "Bbar", "Cbar", "Dbar", "p", "q", "xi", "zeta"))
+        if symmetric and not (
+                self.A.symmetric and self.Dbar.symmetric
+                and np.array_equal(self.Cbar.coeffs, self.Bbar.coeffs[::-1])
+                and np.array_equal(self.q, self.p)
+                and np.array_equal(self.zeta, self.xi)):
+            raise ValueError("symmetric flag set on a non-symmetric operator")
+        self.banded = banded
+        self._check_banded()
         self._diag = None
         self._symbols = None
 
-    def _check_symmetric(self):
-        ok = (self.A.symmetric and self.Dbar.symmetric
-              and np.array_equal(self.Cbar.coeffs, self.Bbar.coeffs[::-1])
-              and np.array_equal(self.q, self.p)
-              and np.array_equal(self.zeta, self.xi)
-              and (self.banded is None or self.banded.is_symmetric()))
-        if not ok:
+    def _check_finite(self, names):
+        """Reject NaN or infinite Toeplitz windows and cross vectors, naming
+        the piece: one isfinite pass over each stored array.  The center o
+        is left to the checks of its first use (the coarsest-level factor,
+        or the solve's non_finite status)."""
+        for name in names:
+            piece = getattr(self, name)
+            is_spec = isinstance(piece, ToeplitzSpec)
+            if not np.isfinite(piece.data if is_spec else piece).all():
+                kind = "Toeplitz block" if is_spec else "cross vector"
+                self._reject_non_finite(f"{kind} {name}")
+
+    def _reject_non_finite(self, piece):
+        raise ValueError(f"operator of size n = {self.n} has non-finite "
+                         f"entries in {piece}")
+
+    def _check_banded(self):
+        banded = self.banded
+        if banded is None:
+            return
+        if banded.n != self.n:
+            raise ValueError(f"banded correction size {banded.n} != {self.n}")
+        for l, band in banded.bands.items():
+            if not np.isfinite(band).all():
+                self._reject_non_finite(f"banded band {l}")
+        if self.symmetric and not banded.is_symmetric():
             raise ValueError("symmetric flag set on a non-symmetric operator")
 
     @classmethod
@@ -353,34 +395,50 @@ class TpcOperator:
         return self._symbols
 
     def matvec(self, x):
-        """Product with a length-n array: the four Toeplitz blocks as one
-        fused block kernel (a batched rfft of the rows v, wbar, the 2x2
-        symbol contraction and a batched irfft), the O(m) cross terms, and
-        the banded correction."""
+        """Product with a length-n array: the banded correction, into which
+        the four Toeplitz blocks, run as one fused block kernel (a batched
+        rfft of the rows v, wbar, the 2x2 symbol contraction and a batched
+        irfft; row by row above _BATCH_MAX_LENGTH), and the O(m) cross
+        terms are added."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"x must have length {self.n}, got {x.shape}")
         m = self.m
         v, wo, wbar = x[:m], x[m], x[m + 1:]
         length, S = self._block_symbols()
-        X = np.zeros((2, length))
-        X[0, :m] = v
-        X[1, :m] = wbar
-        X = _fft.rfft(X)
-        off = X[::-1] * S[1]            # (Bbar wbar, Cbar v)
-        X *= S[0]                       # (A v, Dbar wbar)
-        X += off
-        # free each spectrum before the next allocation: at most two (2, L)
-        # buffers are alive at once, which bounds the transient memory
-        del off
-        Z = _fft.irfft(X, length, overwrite_x=True)
-        del X
-        y = np.empty(self.n)
-        y[:m] = Z[0, :m] + wo * self.p
-        y[m] = self.q @ v + self.o * wo + self.zeta @ wbar
-        y[m + 1:] = Z[1, :m] + wo * self.xi
-        if self.banded is not None:
-            y += self.banded.matvec(x)
+        # free each spectrum before the next allocation: that bounds the
+        # transient memory to about two (2, L) buffers
+        if length <= _BATCH_MAX_LENGTH:
+            X = np.zeros((2, length))
+            X[0, :m] = v
+            X[1, :m] = wbar
+            X = _fft.rfft(X)
+            off = X[::-1] * S[1]        # (Bbar wbar, Cbar v)
+            X *= S[0]                   # (A v, Dbar wbar)
+            X += off
+            del off
+            z0, z1 = _fft.irfft(X, length, overwrite_x=True)
+            del X
+        else:                           # the same products, row by row
+            V, W = _fft.rfft(v, length), _fft.rfft(wbar, length)
+            Y = V * S[0, 0]             # A v
+            Y += W * S[1, 0]            # + Bbar wbar
+            W *= S[0, 1]                # Dbar wbar
+            V *= S[1, 1]                # Cbar v
+            W += V
+            del V
+            z0 = _fft.irfft(Y, length, overwrite_x=True)
+            del Y
+            z1 = _fft.irfft(W, length, overwrite_x=True)
+            del W
+        # the banded product is the output buffer; the rows add into it
+        y = np.zeros(self.n) if self.banded is None else self.banded.matvec(x)
+        yv, yw = y[:m], y[m + 1:]
+        yv += z0[:m]
+        yv += wo * self.p
+        y[m] += self.q @ v + self.o * wo + self.zeta @ wbar
+        yw += z1[:m]
+        yw += wo * self.xi
         return y
 
     def dense(self):
@@ -434,16 +492,18 @@ class TpcOperator:
             symmetric=self.symmetric)
 
     def without_banded(self):
-        if self.banded is None:
-            return self
-        return TpcOperator(self.A, self.Bbar, self.Cbar, self.Dbar, self.p,
-                           self.q, self.xi, self.zeta, self.o, banded=None,
-                           symmetric=self.symmetric)
+        return self if self.banded is None else self.with_banded(None)
 
     def with_banded(self, banded):
-        return TpcOperator(self.A, self.Bbar, self.Cbar, self.Dbar, self.p,
-                           self.q, self.xi, self.zeta, self.o, banded=banded,
-                           symmetric=self.symmetric)
+        """This operator with its banded part replaced (None drops it).  The
+        Toeplitz-plus-Cross pieces, already checked, are shared with self
+        together with their symbol cache; only the new banded part is
+        checked."""
+        out = copy.copy(self)
+        out.banded = banded
+        out._diag = None
+        out._check_banded()
+        return out
 
     @property
     def stored_count(self):

@@ -6,9 +6,11 @@ post-smooths m2 times; the coarsest level is solved with the hierarchy's
 dense LU factors.  The cycle below n = 31 (from the first level above the
 coarsest with n <= 31 down) is applied as one dense matrix, built on first
 use from that same recursion and cached on the hierarchy per smoother,
-together with each level's inverse diagonal.  The outer iteration applies
-cycles to the residual until the Euclidean relative residual drops below
-the tolerance.
+together with each level's inverse diagonal.  The sweeps and residuals
+work in place on the cycle's own iterate and on each fresh matvec output,
+never on the right-hand side.  The outer iteration applies cycles to the
+residual until the Euclidean relative residual drops below the tolerance,
+or reports why it stopped short.
 """
 
 from __future__ import annotations
@@ -53,14 +55,34 @@ class SmootherConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of one outer AMG iteration."""
+    """Outcome of one outer AMG iteration.
+
+    status says why the iteration stopped:
+
+    - "converged": the relative residual dropped below the tolerance;
+    - "stalled": three successive residual ratios above 0.99 at or below
+      the starting residual, taken as stagnation near machine precision;
+    - "diverged": the residual stopped decreasing, or the iterations ran
+      out, above the starting residual;
+    - "max_iter": the iterations ran out below the starting residual;
+    - "non_finite": the residual became NaN or infinite (checked after
+      every cycle, so this stops at once).
+    """
 
     iterations: int
     relative_residuals: list = field(default_factory=list)
     wall_time: float = 0.0
     contraction_estimate: float = 0.0
-    converged: bool = False
-    stalled: bool = False
+    status: str = "max_iter"
+
+    @property
+    def converged(self):
+        """Success: converged, or stalled near roundoff (with a warning)."""
+        return self.status in ("converged", "stalled")
+
+    @property
+    def stalled(self):
+        return self.status == "stalled"
 
 
 # The tail matrix costs n^2 doubles and n cycles to build: 7.7 KB at n = 31,
@@ -77,11 +99,12 @@ def _inv_diag(op):
 
 
 def jacobi_sweep(op, x, b, omega):
-    """One damped-Jacobi sweep x + omega * D^{-1} (b - op x)."""
+    """One damped-Jacobi sweep x + omega * D^{-1} (b - op x), in a new
+    array; x and b are not written."""
     is_block = isinstance(x, BlockVector)
-    xa = x.data if is_block else np.asarray(x, dtype=float)
+    out = np.array(x.data if is_block else x, dtype=float)
     ba = b.data if isinstance(b, BlockVector) else np.asarray(b, dtype=float)
-    out = xa + omega * _inv_diag(op) * (ba - op.matvec(xa))
+    _smooth(op, out, ba, _inv_diag(op), omega)
     return BlockVector.from_array(out) if is_block else out
 
 
@@ -116,21 +139,42 @@ def _cycle_cache(hier, cfg):
 
 def _cycle(hier, k, b, cfg, cache):
     if k == len(hier.levels) - 1:
-        return sla.lu_solve(hier.coarsest_lu, b)
+        # unchecked: a NaN here propagates to the solve's non_finite status
+        return sla.lu_solve(hier.coarsest_lu, b, check_finite=False)
     if k == cache.tail_level:
         return cache.tail @ b
     op = hier.levels[k]
     dinv = cache.dinv[k]
     # first pre-sweep from the zero guess needs no matvec
-    x = cfg.omega_pre * dinv * b if cfg.m1 > 0 else np.zeros_like(b)
+    if cfg.m1 > 0:
+        x = dinv * b
+        x *= cfg.omega_pre
+    else:
+        x = np.zeros_like(b)
     for _ in range(cfg.m1 - 1):
-        x = x + cfg.omega_pre * dinv * (b - op.matvec(x))
-    r = b - op.matvec(x)
-    e = _cycle(hier, k + 1, restrict(r), cfg, cache)
-    x = x + prolong(e)
+        _smooth(op, x, b, dinv, cfg.omega_pre)
+    e = _cycle(hier, k + 1, restrict(_residual(op, x, b)), cfg, cache)
+    x += prolong(e)
     for _ in range(cfg.m2):
-        x = x + cfg.omega_post * dinv * (b - op.matvec(x))
+        _smooth(op, x, b, dinv, cfg.omega_post)
     return x
+
+
+def _residual(op, x, b):
+    """b - op x, computed in the fresh matvec output; b is not written."""
+    r = op.matvec(x)
+    np.subtract(b, r, out=r)
+    return r
+
+
+def _smooth(op, x, b, dinv, omega):
+    """One damped-Jacobi sweep x += omega * D^{-1} (b - op x), in place on
+    x and on the residual buffer.  Scaling by D^{-1} and then by omega is
+    bitwise (omega * D^{-1}) r whenever omega is a power of two."""
+    r = _residual(op, x, b)
+    r *= dinv
+    r *= omega
+    x += r
 
 
 def _rhs_array(hier, b):
@@ -153,10 +197,9 @@ def vcycle(hier, b, cfg=None):
 def solve(hier, b, cfg=None, tol=1e-15, max_iter=200):
     """Iterate x <- x + Vcycle(b - op x) until ||r||/||r0|| < tol.
 
-    Returns (x, SolveReport).  Running out of iterations is flagged in the
-    report rather than raised; three successive residual ratios above 0.99
-    count as stagnation near machine precision and stop the iteration as
-    success-with-warning.
+    Returns (x, SolveReport); report.status says how the iteration ended
+    (see SolveReport).  Running out of iterations, divergence and a
+    non-finite residual are reported, not raised.  b is never written.
     """
     cfg = cfg or SmootherConfig()
     is_block = isinstance(b, BlockVector)
@@ -168,27 +211,31 @@ def solve(hier, b, cfg=None, tol=1e-15, max_iter=200):
     r0 = float(np.linalg.norm(ba))
     report = SolveReport(iterations=0)
     if r0 == 0.0:
-        report.converged = True
+        report.status = "converged"
         report.wall_time = time.perf_counter() - start
         return (BlockVector.from_array(x) if is_block else x), report
 
     cache = _cycle_cache(hier, cfg)
-    r = ba.copy()
+    r, rel = ba, 1.0
     history = report.relative_residuals
     for it in range(1, max_iter + 1):
-        x = x + _cycle(hier, 0, r, cfg, cache)
-        r = ba - op.matvec(x)
+        x += _cycle(hier, 0, r, cfg, cache)
+        r = _residual(op, x, ba)
         rel = float(np.linalg.norm(r)) / r0
         history.append(rel)
         report.iterations = it
+        if not np.isfinite(rel):
+            report.status = "non_finite"
+            break
         if rel < tol:
-            report.converged = True
+            report.status = "converged"
             break
         if len(history) >= 4 and all(
                 history[-k] > 0.99 * history[-k - 1] for k in (1, 2, 3)):
-            report.stalled = True
-            report.converged = True    # success-with-warning near roundoff
+            report.status = "diverged" if rel > 1.0 else "stalled"
             break
+    else:
+        report.status = "diverged" if rel > 1.0 else "max_iter"
     report.wall_time = time.perf_counter() - start
     if history:
         report.contraction_estimate = history[-1] ** (1.0 / len(history))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tpcmg import (BandedCorrection, BlockVector, RectToeplitzSpec,
                    ToeplitzSpec, TpcOperator, rect_toeplitz_matvec_tall,
                    rect_toeplitz_matvec_wide, toeplitz_matvec)
+from tpcmg import kernels
 from tpcmg.oracle import dense_expand
 
 from conftest import dense_toeplitz, random_tpc
@@ -209,6 +210,49 @@ class TestTpcOperator:
         op = random_tpc(rng, 5)
         with pytest.raises(ValueError):
             op.matvec(np.ones(op.n + 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("piece", ["A", "Bbar", "Cbar", "Dbar",
+                                       "p", "q", "xi", "zeta", "band"])
+    def test_non_finite_piece_rejected(self, rng, piece, bad):
+        op = random_tpc(rng, 5, banded_bw=1)
+        parts = dict(A=op.A.coeffs, Bbar=op.Bbar.coeffs, Cbar=op.Cbar.coeffs,
+                     Dbar=op.Dbar.coeffs, p=op.p.copy(), q=op.q.copy(),
+                     xi=op.xi.copy(), zeta=op.zeta.copy())
+        bands = {l: b.copy() for l, b in op.banded.bands.items()}
+        (bands[-1] if piece == "band" else parts[piece])[2] = bad
+        specs = [ToeplitzSpec(5, parts[k]) for k in ("A", "Bbar", "Cbar", "Dbar")]
+        named = "banded band -1" if piece == "band" else piece
+        with pytest.raises(ValueError, match=f"n = 11 has non-finite entries in .*{named}$"):
+            TpcOperator(*specs, parts["p"], parts["q"], parts["xi"], parts["zeta"],
+                        op.o, banded=BandedCorrection(op.n, bands))
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 63, 200])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_row_by_row_transforms_match_dense(self, rng, monkeypatch, m, symmetric):
+        monkeypatch.setattr(kernels, "_BATCH_MAX_LENGTH", 0)
+        op = random_tpc(rng, m, symmetric=symmetric, banded_bw=1)
+        x = rng.standard_normal(op.n)
+        dense = dense_expand(op)
+        ref = dense @ x
+        scale = 1.0 + np.abs(x).max() * np.abs(dense).sum(axis=1).max()
+        assert np.abs(op.matvec(x) - ref).max() <= 1e-11 * scale
+
+    def test_row_by_row_equals_batched_above_cutover(self, rng, monkeypatch):
+        m = 16385                     # embedding length 65536 > 32768
+        op = random_tpc(rng, m, banded_bw=1)
+        x = rng.standard_normal(op.n)
+        by_row = op.matvec(x)
+        monkeypatch.setattr(kernels, "_BATCH_MAX_LENGTH", 2 ** 20)
+        batched = op.matvec(x)
+        assert np.abs(by_row - batched).max() <= 1e-13 * np.abs(batched).max()
+
+    def test_non_finite_banded_rejected_by_with_banded(self, rng):
+        op = random_tpc(rng, 5)
+        band = np.ones(op.n)
+        band[0] = np.nan
+        with pytest.raises(ValueError, match="banded band 0"):
+            op.with_banded(BandedCorrection(op.n, {0: band}))
 
 
 def _windowed_spec(rng, m, short, sym=False):

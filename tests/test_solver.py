@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from tpcmg import (BlockVector, Hierarchy, PdModelConfig, SmootherConfig,
-                   TpcOperator, assemble_pd_system, build_hierarchy,
+from tpcmg import (BlockVector, GammaModelConfig, Hierarchy, PdModelConfig,
+                   SmootherConfig, TpcOperator, assemble_gamma_system,
+                   assemble_pd_system, build_hierarchy, build_step_operator,
                    jacobi_sweep, solve, tgm_factor_estimate, vcycle)
 from tpcmg.oracle import dense_expand, restriction_matrix
 from tpcmg.solver import SingularSmootherError
@@ -165,6 +166,7 @@ class TestSolve:
         b = op.matvec(x_star)
         x, report = solve(hier, b)
         assert report.converged and not report.stalled
+        assert report.status == "converged"
         assert np.abs(x - x_star).max() <= 1e-12 * np.abs(x_star).max()
         assert report.relative_residuals[-1] < 1e-15
         assert 0 < report.contraction_estimate < 1
@@ -205,6 +207,46 @@ class TestSolve:
         x, report = solve(hier, b, max_iter=1, tol=1e-300)
         assert report.iterations == 1
         assert not report.converged
+        assert report.status == "max_iter"
+
+    @pytest.mark.parametrize("max_iter,iterations", [(200, 4), (2, 2)])
+    def test_divergence_reported(self, rng, max_iter, iterations):
+        # omega = 3 overshoots: the residual grows by orders of magnitude
+        hier, op = spd_hierarchy(64, 16, tau=1.0 / 64.0)
+        b = rng.standard_normal(op.n)
+        cfg = SmootherConfig(omega_pre=3.0, omega_post=3.0)
+        _, report = solve(hier, b, cfg, max_iter=max_iter)
+        assert report.status == "diverged"
+        assert not report.converged and not report.stalled
+        assert report.iterations == iterations
+        assert report.relative_residuals[-1] > 1.0
+
+    def test_non_finite_residual_stops_at_once(self, rng):
+        hier, op = spd_hierarchy(16, 2, tau=1.0 / 16.0)
+        b = rng.standard_normal(op.n)
+        cfg = SmootherConfig(omega_pre=1e300, omega_post=1e300)
+        with np.errstate(all="ignore"):
+            _, report = solve(hier, b, cfg)
+        assert report.status == "non_finite"
+        assert report.iterations == 1 and not report.converged
+
+    @pytest.mark.parametrize("model", ["gamma-banded", "pd-sym"])
+    @pytest.mark.parametrize("cfg", [SmootherConfig(), SmootherConfig(m1=2, m2=2)])
+    def test_rhs_not_written(self, rng, model, cfg):
+        if model == "pd-sym":
+            hier, op = spd_hierarchy(64, 4, tau=1.0 / 64.0)
+        else:
+            system = assemble_gamma_system(GammaModelConfig(N=64, gamma=0.5))
+            op = build_step_operator(system, 1.0 / 64.0)
+            assert op.banded is not None
+            hier = build_hierarchy(op)
+        b = rng.standard_normal(op.n)
+        before = b.tobytes()
+        vcycle(hier, b, cfg)
+        assert b.tobytes() == before
+        _, report = solve(hier, b, cfg)
+        assert report.converged
+        assert b.tobytes() == before
 
     def test_residual_history_positive_decreasing_overall(self, rng):
         hier, op = spd_hierarchy(16, 2, tau=1.0 / 16.0)

@@ -6,8 +6,9 @@ import pytest
 from tpcmg import (GammaModelConfig, PdModelConfig, TransientConfig,
                    TransientProblem, assemble_gamma_system, assemble_pd_system,
                    bdf4_march, build_step_operator, fold_boundary_rhs,
-                   gamma_manufactured_problem, pd_manufactured_problem,
-                   sample_collar)
+                   gamma_exact_forcing, gamma_manufactured_problem,
+                   pd_exact_forcing, pd_manufactured_problem, sample_collar,
+                   timestepper)
 from tpcmg.oracle import dense_expand, gamma_dense_reference, sym_eig_extremes
 
 
@@ -31,6 +32,56 @@ class TestStepOperator:
         ref_A, scale = gamma_dense_reference(cfg)
         ref = (25.0 / 12.0) * np.eye(15) + (1.0 / 8.0 / scale) * ref_A
         assert np.abs(dense_expand(op) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+TIMES = (0.0, 0.125, 0.37, 1.0, 2.5)
+
+
+class TestManufacturedRhs:
+    """rhs(t) scales a lazily cached t-free array; it must equal the direct
+    evaluation bitwise, and building the problem must evaluate nothing."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_gamma_rhs_bitwise_uncached(self, gamma):
+        cfg = GammaModelConfig(N=32, gamma=gamma)
+        problem = gamma_manufactured_problem(cfg)
+        for t in TIMES:
+            bound = problem.system.boundary_vector(np.exp(t) * (1.0 + cfg.a) ** 6,
+                                                   np.exp(t) * (1.0 + cfg.b) ** 6)
+            ref = gamma_exact_forcing(cfg.grid, t, gamma) + bound
+            assert np.array_equal(problem.rhs(t), ref)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_pd_rhs_bitwise_uncached(self, symmetric):
+        cfg = PdModelConfig(N=32, delta=0.25, symmetric=symmetric)
+        problem = pd_manufactured_problem(cfg)
+        for t in TIMES:
+            collar = sample_collar(cfg, lambda x: np.exp(t) * (1.0 + x) ** 6)
+            ref = fold_boundary_rhs(problem.system,
+                                    pd_exact_forcing(cfg.grid, t, cfg.delta_eff), collar)
+            assert np.array_equal(problem.rhs(t), ref)
+
+    def test_forcing_evaluated_lazily_once(self, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            fn = getattr(timestepper, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(timestepper, name, wrapper)
+
+        for name in ("gamma_exact_forcing", "pd_exact_forcing", "sample_collar"):
+            counted(name)
+        problems = [gamma_manufactured_problem(GammaModelConfig(N=16, gamma=0.5)),
+                    pd_manufactured_problem(PdModelConfig(N=16, delta=0.25, symmetric=True))]
+        assert calls == {}
+        for problem in problems:
+            for t in TIMES:
+                problem.rhs(t)
+        assert calls == {"gamma_exact_forcing": 1, "pd_exact_forcing": 1,
+                         "sample_collar": 1}
 
 
 class TestMarch:

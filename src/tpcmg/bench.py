@@ -25,6 +25,7 @@ from .timestepper import (TransientConfig, bdf4_march, build_step_operator,
 
 __all__ = [
     "BenchRow",
+    "model_config",
     "run_table",
     "run_verify",
     "run_scaling",
@@ -45,14 +46,21 @@ class BenchRow:
     wall: float = 0.0
 
 
-def _make_problem(model, N, gamma, delta):
+def model_config(model, N, gamma=0.0, delta=0.25):
+    """The configuration of one model at grid size N; raises ValueError
+    for an unknown model or invalid parameters."""
     if model == "gamma":
-        return gamma_manufactured_problem(GammaModelConfig(N=N, gamma=gamma))
-    if model == "pd-nonsym":
-        return pd_manufactured_problem(PdModelConfig(N=N, delta=delta, symmetric=False))
-    if model == "pd-sym":
-        return pd_manufactured_problem(PdModelConfig(N=N, delta=delta, symmetric=True))
+        return GammaModelConfig(N=N, gamma=gamma)
+    if model in ("pd-nonsym", "pd-sym"):
+        return PdModelConfig(N=N, delta=delta, symmetric=(model == "pd-sym"))
     raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+
+
+def _make_problem(model, N, gamma, delta):
+    cfg = model_config(model, N, gamma, delta)
+    if model == "gamma":
+        return gamma_manufactured_problem(cfg)
+    return pd_manufactured_problem(cfg)
 
 
 def run_table(model, Ns, gamma=0.0, delta=0.25, tol=1e-15, max_iter=200,
@@ -127,18 +135,13 @@ def run_verify(model, N, gamma=0.0, delta=0.25, r=None, seed=0):
     (structured representation against the dense reference) runs for every
     model.  Returns (lines, passed).
     """
+    cfg = model_config(model, N, gamma, delta if r is None else r / N)
     if model == "gamma":
-        cfg = GammaModelConfig(N=N, gamma=gamma)
         dense = dense_expand(assemble_gamma_system(cfg).op)
         ref, _ = gamma_dense_reference(cfg)
-    elif model in ("pd-sym", "pd-nonsym"):
-        if r is not None:
-            delta = r / N
-        cfg = PdModelConfig(N=N, delta=delta, symmetric=(model == "pd-sym"))
+    else:
         dense = dense_expand(assemble_pd_system(cfg).op)
         ref = pd_dense_reference(cfg)
-    else:
-        raise ValueError(f"unknown model {model!r}")
     err = float(np.abs(dense - ref).max())
     passed = err <= 1e-12 * max(1.0, np.abs(ref).max())
     lines = [f"{'PASS' if passed else 'FAIL'}  assembly matches dense reference: "

@@ -14,10 +14,10 @@ import argparse
 import json
 import sys
 
-from .bench import (rows_pretty, rows_to_csv, run_scaling, run_table,
-                    run_verify, table_json)
+from .bench import (model_config, rows_pretty, rows_to_csv, run_scaling,
+                    run_table, run_verify, table_json)
 from .peridynamic import SQRT_H
-from .solver import SmootherConfig
+from .solver import SmootherConfig, _check_stopping
 
 
 def _delta_arg(value):
@@ -68,10 +68,25 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    args = build_parser().parse_args(argv)
+def _check_args(args):
+    """Build the smoother and every model configuration before any work;
+    an invalid argument raises ValueError here."""
     smoother = SmootherConfig(omega_pre=args.omega_pre, omega_post=args.omega_post,
                               m1=args.m1, m2=args.m2)
+    _check_stopping(args.tol, args.max_iter)
+    r = getattr(args, "r", None)
+    for N in args.N:
+        model_config(args.model, N, args.gamma, args.delta if r is None else r / N)
+    return smoother
+
+
+def main(argv=None):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        smoother = _check_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.command == "table":
         rows = run_table(args.model, args.N, gamma=args.gamma, delta=args.delta,
                          tol=args.tol, max_iter=args.max_iter,

@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .kernels import BandedCorrection, BlockVector, ToeplitzSpec, TpcOperator
+from .kernels import BandedCorrection, ToeplitzSpec, TpcOperator
 
 __all__ = [
     "GammaModelConfig",
@@ -142,12 +142,11 @@ def gamma_coefficients(gamma, count):
 class GammaSystem:
     """Assembled collocation system A_h = diag(D1, D2) - [M Q; P N]."""
 
-    def __init__(self, cfg, op, scale, coeffs, boundary_values):
+    def __init__(self, cfg, op, scale, coeffs):
         self.cfg = cfg
         self.op = op
         self.scale = scale
         self.coeffs = coeffs
-        self.boundaryK = BlockVector.from_array(self.boundary_vector(*boundary_values))
 
     def boundary_vector(self, u_a, u_b):
         """Boundary contribution K(u_a, u_b) in forcing units, so that the
@@ -160,7 +159,7 @@ class GammaSystem:
         return np.concatenate([kv, kw]) / self.scale
 
 
-def assemble_gamma_system(cfg, boundary_values=(0.0, 0.0)):
+def assemble_gamma_system(cfg):
     """Assemble the gamma-kernel system as TpcOperator + diagonal correction.
 
     The Toeplitz-plus-Cross part holds -[M Q; P N] (first column of Q maps
@@ -195,7 +194,7 @@ def assemble_gamma_system(cfg, boundary_values=(0.0, 0.0)):
 
     op = TpcOperator(A, Bbar, Cbar, Dbar, p, q, xi, zeta, o, banded=banded)
     scale = (3.0 - cfg.gamma) * (2.0 - cfg.gamma) * (1.0 - cfg.gamma) / cfg.h ** (1.0 - cfg.gamma)
-    return GammaSystem(cfg, op, scale, co, boundary_values)
+    return GammaSystem(cfg, op, scale, co)
 
 
 def gamma_exact_forcing(x, t, gamma):

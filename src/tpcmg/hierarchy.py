@@ -63,7 +63,7 @@ def _coarsen_sequence(full, m, mc):
     return out
 
 
-def _mirror(seq_half, mc):
+def _mirror(seq_half):
     """Assemble a symmetric full sequence from its l >= 0 half."""
     return np.concatenate([seq_half[:0:-1], seq_half])
 
@@ -121,8 +121,8 @@ def coarsen_tpc(fine):
     if fine.symmetric:
         ac_half = _coarsen_sequence(fa, m, mc)[mc - 1:]
         dc_half = _coarsen_sequence(fd, m, mc)[mc - 1:]
-        A = ToeplitzSpec(mc, _mirror(ac_half, mc), symmetric=True)
-        D = ToeplitzSpec(mc, _mirror(dc_half, mc), symmetric=True)
+        A = ToeplitzSpec(mc, _mirror(ac_half), symmetric=True)
+        D = ToeplitzSpec(mc, _mirror(dc_half), symmetric=True)
         B = ToeplitzSpec(mc, _coarsen_sequence(fb, m, mc))
         C = B.transpose()
         pc = _coarse_cross_column(fa, fb, fine.p, m, mc)

@@ -23,7 +23,6 @@ __all__ = [
     "ToeplitzSpec",
     "RectToeplitzSpec",
     "BandedCorrection",
-    "BlockVector",
     "TpcOperator",
     "toeplitz_matvec",
     "rect_toeplitz_matvec_wide",
@@ -260,45 +259,6 @@ class BandedCorrection:
             -l in self.bands and np.array_equal(self.bands[l], self.bands[-l])
             for l in self.bands if l > 0
         ) and all(-l in self.bands for l in self.bands if l < 0)
-
-
-class BlockVector:
-    """Grid function in block ordering: integer-node part v (length m)
-    followed by the half-node part w (length m+1)."""
-
-    def __init__(self, v, w):
-        v = np.asarray(v, dtype=float)
-        w = np.asarray(w, dtype=float)
-        if v.ndim != 1 or w.ndim != 1 or w.size != v.size + 1:
-            raise ValueError(f"need len(w) == len(v)+1, got {v.shape}, {w.shape}")
-        self.data = np.concatenate([v, w])
-        self.m = v.size
-
-    @classmethod
-    def from_array(cls, data):
-        data = np.asarray(data, dtype=float)
-        if data.ndim != 1 or data.size % 2 == 0:
-            raise ValueError("block vector length must be odd")
-        m = (data.size - 1) // 2
-        out = cls.__new__(cls)
-        out.data = data.copy()
-        out.m = m
-        return out
-
-    @property
-    def v(self):
-        return self.data[:self.m]
-
-    @property
-    def w(self):
-        return self.data[self.m:]
-
-    @property
-    def n(self):
-        return self.data.size
-
-    def copy(self):
-        return BlockVector.from_array(self.data)
 
 
 class TpcOperator:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import BlockVector, ToeplitzSpec, TpcOperator
+from .kernels import ToeplitzSpec, TpcOperator
 
 __all__ = [
     "PdModelConfig",
@@ -253,7 +253,8 @@ def sample_collar(cfg, g):
 
 
 def fold_boundary_rhs(system, F, collar):
-    """Fold the collar data into the right-hand side.
+    """Fold the collar data into the right-hand side F, returned as a new
+    array (F is not written).
 
     The first/last r entries of F^v and the first/last r+1 entries of F^w
     receive the exterior-stencil sums; the result keeps forcing units, so
@@ -272,8 +273,7 @@ def fold_boundary_rhs(system, F, collar):
     if lv.shape != (r + 1,) or rv.shape != (r + 1,) or lw.shape != (r,) or rw.shape != (r,):
         raise ValueError("collar sample lengths do not match the mesh ratio r")
 
-    is_block = isinstance(F, BlockVector)
-    data = F.data.copy() if is_block else np.asarray(F, dtype=float).copy()
+    data = np.array(F, dtype=float)
     if data.shape != (2 * N - 1,):
         raise ValueError(f"F must have length {2 * N - 1}, got {data.shape}")
     Fv = data[:N - 1]
@@ -294,7 +294,7 @@ def fold_boundary_rhs(system, F, collar):
     sv, sw = sums(rv[::-1], rw[::-1])
     Fv[N - 1 - r:] -= sv[::-1]
     Fw[N - 1 - r:] -= sw[::-1]
-    return BlockVector.from_array(data) if is_block else data
+    return data
 
 
 def pd_exact_forcing(x, t, delta):

@@ -15,6 +15,7 @@ or reports why it stopped short.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -22,7 +23,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from .hierarchy import Hierarchy, prolong, restrict
-from .kernels import BlockVector
 
 __all__ = [
     "SmootherConfig",
@@ -49,8 +49,15 @@ class SmootherConfig:
     m2: int = 1
 
     def __post_init__(self):
-        if self.m1 < 0 or self.m2 < 0:
-            raise ValueError("sweep counts must be nonnegative")
+        for name in ("omega_pre", "omega_post"):
+            omega = getattr(self, name)
+            if not (math.isfinite(omega) and omega > 0):
+                raise ValueError(f"{name} must be positive and finite, got {omega}")
+        for name in ("m1", "m2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.m1 == 0 and self.m2 == 0:
+            raise ValueError("m1 and m2 must not both be 0: the cycle would not smooth")
 
 
 @dataclass
@@ -101,11 +108,9 @@ def _inv_diag(op):
 def jacobi_sweep(op, x, b, omega):
     """One damped-Jacobi sweep x + omega * D^{-1} (b - op x), in a new
     array; x and b are not written."""
-    is_block = isinstance(x, BlockVector)
-    out = np.array(x.data if is_block else x, dtype=float)
-    ba = b.data if isinstance(b, BlockVector) else np.asarray(b, dtype=float)
-    _smooth(op, out, ba, _inv_diag(op), omega)
-    return BlockVector.from_array(out) if is_block else out
+    out = np.array(x, dtype=float)
+    _smooth(op, out, _rhs_array(op.n, b), _inv_diag(op), omega)
+    return out
 
 
 @dataclass
@@ -177,21 +182,30 @@ def _smooth(op, x, b, dinv, omega):
     x += r
 
 
-def _rhs_array(hier, b):
-    ba = b.data if isinstance(b, BlockVector) else np.asarray(b, dtype=float)
-    if ba.shape != (hier.finest.n,):
-        raise ValueError(f"b must have length {hier.finest.n}")
-    if not np.isfinite(ba).all():
+def _rhs_array(n, b):
+    """b as a float array, checked against the system size n."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (n,):
+        raise ValueError(f"b must have length {n}")
+    if not np.isfinite(b).all():
         raise ValueError("b has non-finite entries")
-    return ba
+    return b
 
 
 def vcycle(hier, b, cfg=None):
     """One V(m1, m2) cycle for the finest system, zero initial guess."""
     cfg = cfg or SmootherConfig()
-    ba = _rhs_array(hier, b)
-    out = _cycle(hier, 0, ba, cfg, _cycle_cache(hier, cfg))
-    return BlockVector.from_array(out) if isinstance(b, BlockVector) else out
+    b = _rhs_array(hier.finest.n, b)
+    return _cycle(hier, 0, b, cfg, _cycle_cache(hier, cfg))
+
+
+def _check_stopping(tol, max_iter):
+    """Reject a stopping rule that solve cannot meet: tol must be positive
+    (not NaN) and max_iter at least 1."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def solve(hier, b, cfg=None, tol=1e-15, max_iter=200):
@@ -199,28 +213,29 @@ def solve(hier, b, cfg=None, tol=1e-15, max_iter=200):
 
     Returns (x, SolveReport); report.status says how the iteration ended
     (see SolveReport).  Running out of iterations, divergence and a
-    non-finite residual are reported, not raised.  b is never written.
+    non-finite residual are reported, not raised; a bad b, tol or max_iter
+    raises ValueError.  b is never written.
     """
     cfg = cfg or SmootherConfig()
-    is_block = isinstance(b, BlockVector)
-    ba = _rhs_array(hier, b)
+    _check_stopping(tol, max_iter)
+    b = _rhs_array(hier.finest.n, b)
     op = hier.finest
 
     start = time.perf_counter()
-    x = np.zeros_like(ba)
-    r0 = float(np.linalg.norm(ba))
+    x = np.zeros_like(b)
+    r0 = float(np.linalg.norm(b))
     report = SolveReport(iterations=0)
     if r0 == 0.0:
         report.status = "converged"
         report.wall_time = time.perf_counter() - start
-        return (BlockVector.from_array(x) if is_block else x), report
+        return x, report
 
     cache = _cycle_cache(hier, cfg)
-    r, rel = ba, 1.0
+    r, rel = b, 1.0
     history = report.relative_residuals
     for it in range(1, max_iter + 1):
         x += _cycle(hier, 0, r, cfg, cache)
-        r = _residual(op, x, ba)
+        r = _residual(op, x, b)
         rel = float(np.linalg.norm(r)) / r0
         history.append(rel)
         report.iterations = it
@@ -239,7 +254,7 @@ def solve(hier, b, cfg=None, tol=1e-15, max_iter=200):
     report.wall_time = time.perf_counter() - start
     if history:
         report.contraction_estimate = history[-1] ** (1.0 / len(history))
-    return (BlockVector.from_array(x) if is_block else x), report
+    return x, report
 
 
 def _two_level(hier):

@@ -28,7 +28,6 @@ import numpy as np
 
 from .gamma_model import assemble_gamma_system, gamma_exact_forcing
 from .hierarchy import build_hierarchy
-from .kernels import BlockVector
 from .peridynamic import (CollarSamples, assemble_pd_system, fold_boundary_rhs,
                           pd_exact_forcing, sample_collar)
 from .solver import SmootherConfig, solve
@@ -74,17 +73,16 @@ class TransientProblem:
     forcing in f-units (boundary terms folded in), the initial value, and
     optionally the exact solution for startup and error measurement."""
 
-    def __init__(self, system, rhs, exact=None, grid=None, initial=None):
+    def __init__(self, system, rhs, exact=None, initial=None):
         self.system = system
         self.rhs = rhs
         self.exact = exact
-        self.grid = grid
         self.initial = initial
 
 
 @dataclass
 class MarchResult:
-    u_final: BlockVector
+    u_final: np.ndarray
     max_error: float
     iterations: list = field(default_factory=list)
     avg_iterations: float = 0.0
@@ -111,7 +109,7 @@ def _bdf_k_step(system, u_hist, tau, coeff_lhs, weights, rhs_vec,
     b = tau * rhs_vec
     for w, u in zip(weights, u_hist):
         b = b + w * u
-    x, rep = solve(hier, b, smoother, tol=tol, max_iter=max_iter)
+    x, _ = solve(hier, b, smoother, tol=tol, max_iter=max_iter)
     return x
 
 
@@ -181,7 +179,7 @@ def bdf4_march(problem, cfg, smoother=None, tol=1e-15, max_iter=200, coarsest=7)
         result.reports.append(rep)
         history = history[1:] + [u]
 
-    result.u_final = BlockVector.from_array(u)
+    result.u_final = u
     result.solve_time = t_solve
     result.avg_iterations = float(np.mean(result.iterations)) if result.iterations else 0.0
     result.hierarchy_builds = builds
@@ -210,7 +208,7 @@ def gamma_manufactured_problem(model_cfg):
                                        np.exp(t) * (1.0 + model_cfg.b) ** 6)
         return np.exp(t) * forcing0 + bound
 
-    return TransientProblem(system, rhs, exact=exact, grid=xs)
+    return TransientProblem(system, rhs, exact=exact)
 
 
 def pd_manufactured_problem(model_cfg):
@@ -233,4 +231,4 @@ def pd_manufactured_problem(model_cfg):
                                right_v=e * collar0.right_v, right_w=e * collar0.right_w)
         return fold_boundary_rhs(system, e * forcing0, collar)
 
-    return TransientProblem(system, rhs, exact=exact, grid=xs)
+    return TransientProblem(system, rhs, exact=exact)

@@ -142,6 +142,23 @@ class TestCli:
             main(["table", "--model", "laplace", "--N", "8"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["table", "--model", "pd-sym", "--N", "6"], "N must be a power of two"),
+        (["table", "--model", "pd-sym", "--N", "16", "--m1", "-1"], "m1 must be"),
+        (["table", "--model", "gamma", "--N", "16", "--gamma", "1.5"], "gamma must be"),
+        (["table", "--model", "pd-sym", "--N", "16", "--omega-post", "0"], "omega_post"),
+        (["table", "--model", "pd-sym", "--N", "16", "--tol", "0"], "tol must be"),
+        (["verify", "--model", "pd-sym", "--N", "8", "--r", "7"], "stencil overflow"),
+        (["scaling", "--model", "pd-sym", "--N", "64", "--N", "96"], "N must be"),
+    ])
+    def test_invalid_argument_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err.splitlines()[-1]
+
     def test_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "tpcmg.cli", "table",
                               "--model", "pd-sym", "--N", "16", "--out", "csv"],

@@ -122,7 +122,7 @@ class TestAssembly:
 
     def test_zero_boundary_gives_zero_k(self):
         system = assemble_gamma_system(GammaModelConfig(N=8, gamma=0.3))
-        assert np.abs(system.boundaryK.data).max() == 0.0
+        assert np.abs(system.boundary_vector(0.0, 0.0)).max() == 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpcmg import (BandedCorrection, BlockVector, RectToeplitzSpec,
+from tpcmg import (BandedCorrection, RectToeplitzSpec,
                    ToeplitzSpec, TpcOperator, rect_toeplitz_matvec_tall,
                    rect_toeplitz_matvec_wide, toeplitz_matvec)
 from tpcmg import kernels
@@ -128,22 +128,6 @@ class TestRectToeplitz:
             rect_toeplitz_matvec_wide(sq, np.ones(3))
         with pytest.raises(ValueError):
             rect_toeplitz_matvec_tall(sq, np.ones(3))
-
-
-class TestBlockVector:
-    def test_round_trip(self):
-        bv = BlockVector([1.0, 2.0], [3.0, 4.0, 5.0])
-        assert bv.n == 5 and bv.m == 2
-        assert np.array_equal(bv.v, [1, 2])
-        assert np.array_equal(bv.w, [3, 4, 5])
-        again = BlockVector.from_array(bv.data)
-        assert np.array_equal(again.data, bv.data)
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            BlockVector([1.0, 2.0], [3.0, 4.0])
-        with pytest.raises(ValueError):
-            BlockVector.from_array(np.ones(4))
 
 
 class TestBanded:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpcmg import (BlockVector, PdModelConfig, assemble_pd_system,
+from tpcmg import (PdModelConfig, assemble_pd_system,
                    fold_boundary_rhs, pd_coefficients, pd_exact_forcing,
                    sample_collar)
 from tpcmg.oracle import (dense_expand, pd_dense_reference,
@@ -167,13 +167,6 @@ class TestFolding:
         folded = fold_boundary_rhs(system, F, sample_collar(cfg, lambda x: gvec))
         truth = F - (exterior @ gvec) / system.scale
         assert np.abs(folded - truth).max() <= 1e-12 * (1 + np.abs(truth).max())
-
-    def test_block_vector_round_trip(self, rng):
-        cfg = PdModelConfig(N=8, delta=0.25, symmetric=True)
-        system = assemble_pd_system(cfg)
-        F = BlockVector(rng.standard_normal(7), rng.standard_normal(8))
-        out = fold_boundary_rhs(system, F, sample_collar(cfg, lambda x: 1.0))
-        assert isinstance(out, BlockVector)
 
     def test_collar_length_validation(self, rng):
         cfg = PdModelConfig(N=8, delta=0.25, symmetric=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from tpcmg import (BlockVector, GammaModelConfig, Hierarchy, PdModelConfig,
+from tpcmg import (GammaModelConfig, Hierarchy, PdModelConfig,
                    SmootherConfig, TpcOperator, assemble_gamma_system,
                    assemble_pd_system, build_hierarchy, build_step_operator,
                    jacobi_sweep, solve, tgm_factor_estimate, vcycle)
@@ -49,6 +49,25 @@ def assert_matches_dense_cycle(hier, cfg, b):
     assert np.abs(vcycle(hier, b, cfg) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+class TestSmootherConfig:
+    @pytest.mark.parametrize("name", ["omega_pre", "omega_post"])
+    @pytest.mark.parametrize("omega", [0.0, -0.5, np.nan, np.inf])
+    def test_bad_omega_rejected(self, name, omega):
+        with pytest.raises(ValueError, match=name):
+            SmootherConfig(**{name: omega})
+
+    @pytest.mark.parametrize("name", ["m1", "m2"])
+    def test_negative_sweeps_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            SmootherConfig(**{name: -1})
+
+    def test_no_sweeps_rejected(self):
+        with pytest.raises(ValueError, match="m1 and m2"):
+            SmootherConfig(m1=0, m2=0)
+        SmootherConfig(m1=0, m2=1)
+        SmootherConfig(m1=1, m2=0)
+
+
 class TestJacobi:
     def test_identity_one_sweep(self, rng):
         op = TpcOperator.identity(5)
@@ -81,12 +100,14 @@ class TestJacobi:
         with pytest.raises(SingularSmootherError):
             jacobi_sweep(op, np.zeros(11), np.ones(11), 1.0)
 
-    def test_block_vector_surface(self, rng):
+    def test_rhs_checked(self):
         op = TpcOperator.identity(5)
-        b = BlockVector(rng.standard_normal(5), rng.standard_normal(6))
-        out = jacobi_sweep(op, BlockVector(np.zeros(5), np.zeros(6)), b, 1.0)
-        assert isinstance(out, BlockVector)
-        assert np.allclose(out.data, b.data)
+        with pytest.raises(ValueError, match="b must have length 11"):
+            jacobi_sweep(op, np.zeros(11), np.ones(1), 1.0)
+        b = np.ones(11)
+        b[3] = np.nan
+        with pytest.raises(ValueError, match="b has non-finite"):
+            jacobi_sweep(op, np.zeros(11), b, 1.0)
 
 
 class TestVcycle:
@@ -152,12 +173,6 @@ class TestVcycle:
         after = np.sqrt(e @ A @ e)
         assert after <= np.sqrt(47.0 / 48.0) * before
 
-    def test_block_vector_surface(self, rng):
-        hier = build_hierarchy(TpcOperator.identity(7))
-        b = BlockVector(rng.standard_normal(7), rng.standard_normal(8))
-        out = vcycle(hier, b)
-        assert isinstance(out, BlockVector)
-
 
 class TestSolve:
     def test_manufactured_solution(self, rng):
@@ -177,13 +192,6 @@ class TestSolve:
         assert report.iterations == 0 and report.converged
         assert np.abs(x).max() == 0.0
 
-    def test_block_vector_surface(self, rng):
-        hier, op = spd_hierarchy(8, 1)
-        b = BlockVector(rng.standard_normal(7), rng.standard_normal(8))
-        x, report = solve(hier, b)
-        assert isinstance(x, BlockVector) and report.converged
-        assert np.abs(op.matvec(x.data) - b.data).max() <= 1e-12 * np.abs(b.data).max()
-
     @pytest.mark.parametrize("N", [8, 64])                # finest n = 15 and 127
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rhs_rejected(self, rng, N, bad):
@@ -194,6 +202,14 @@ class TestSolve:
             solve(hier, b)
         with pytest.raises(ValueError, match="b has non-finite"):
             vcycle(hier, b)
+
+    @pytest.mark.parametrize("kwargs,name", [({"tol": 0.0}, "tol"), ({"tol": -1e-15}, "tol"),
+                                             ({"tol": np.nan}, "tol"),
+                                             ({"max_iter": 0}, "max_iter")])
+    def test_bad_stopping_rule_rejected(self, rng, kwargs, name):
+        hier, op = spd_hierarchy(8, 1)
+        with pytest.raises(ValueError, match=name):
+            solve(hier, rng.standard_normal(op.n), **kwargs)
 
     def test_zero_diagonal_raises_on_first_use(self):
         hier = Hierarchy([TpcOperator.identity(7).scale_shift(0.0, 0.0),

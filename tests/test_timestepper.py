@@ -97,6 +97,12 @@ class TestMarch:
         assert result.max_error == pytest.approx(1.4460e-05, rel=0.01)
         assert result.avg_iterations <= 5
 
+    def test_u_final_is_flat_array(self):
+        problem = pd_manufactured_problem(PdModelConfig(N=16, delta=0.25, symmetric=True))
+        result = bdf4_march(problem, TransientConfig(tau=1.0 / 16.0))
+        assert type(result.u_final) is np.ndarray and result.u_final.shape == (31,)
+        assert np.abs(result.u_final - problem.exact(1.0)).max() == result.max_error
+
     def test_hierarchy_built_once(self):
         problem = pd_manufactured_problem(PdModelConfig(N=16, delta=0.25, symmetric=True))
         result = bdf4_march(problem, TransientConfig(tau=1.0 / 16.0))

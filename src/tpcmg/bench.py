@@ -176,6 +176,8 @@ def run_scaling(model, Ns, gamma=0.0, delta=0.25, reps=5, coarsest=7,
     the dense path materializes the operator and multiplies, which is what
     the structured representation avoids.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     rows = []
     for N in Ns:
         problem = _make_problem(model, N, gamma, delta)

@@ -74,6 +74,10 @@ def _check_args(args):
     smoother = SmootherConfig(omega_pre=args.omega_pre, omega_post=args.omega_post,
                               m1=args.m1, m2=args.m2)
     _check_stopping(args.tol, args.max_iter)
+    if args.coarsest < 3:
+        raise ValueError(f"--coarsest must be at least 3, got {args.coarsest}")
+    if getattr(args, "reps", 1) < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     r = getattr(args, "r", None)
     for N in args.N:
         model_config(args.model, N, args.gamma, args.delta if r is None else r / N)

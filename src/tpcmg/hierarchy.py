@@ -28,25 +28,32 @@ __all__ = [
 ]
 
 def restrict(x):
-    """Full weighting: (Rx)_i = (x_{2i-1} + 2 x_{2i} + x_{2i+1}) / 4."""
+    """Full weighting: (Rx)_i = (x_{2i-1} + 2 x_{2i} + x_{2i+1}) / 4, built
+    in one fresh array."""
     x = np.asarray(x, dtype=float)
     n = x.size
     if n % 2 == 0 or n < 3:
         raise ValueError(f"restriction needs odd length >= 3, got {n}")
-    return 0.25 * (x[0:n - 2:2] + 2.0 * x[1:n - 1:2] + x[2:n:2])
+    out = x[1::2] * 2.0
+    out += x[:-2:2]
+    out += x[2::2]
+    out *= 0.25
+    return out
 
 
 def prolong(x):
-    """Prolongation P = 2 R^T: copy to even fine nodes, average to odd."""
+    """Prolongation P = 2 R^T: copy to odd fine nodes, average to even ones
+    (the two end nodes halve their one coarse neighbour)."""
     x = np.asarray(x, dtype=float)
     nc = x.size
     if nc < 1:
         raise ValueError("empty coarse vector")
-    n = 2 * nc + 1
-    y = np.empty(n)
+    y = np.empty(2 * nc + 1)
     y[1::2] = x
-    ext = np.concatenate([[0.0], x, [0.0]])
-    y[0::2] = 0.5 * (ext[:-1] + ext[1:])
+    even = y[::2]
+    np.add(x[:-1], x[1:], out=even[1:-1])
+    even[0], even[-1] = x[0], x[-1]
+    even *= 0.5
     return y
 
 

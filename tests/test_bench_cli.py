@@ -79,6 +79,10 @@ class TestRunScaling:
         assert len(out["ratios"]) == 1
         assert out["rows"][0]["storage"] <= 8 * out["rows"][0]["n"]
 
+    def test_no_repetitions_rejected(self):
+        with pytest.raises(ValueError, match="reps must be at least 1"):
+            run_scaling("pd-sym", [16], reps=0)
+
     def test_dense_compare(self):
         out = run_scaling("pd-sym", [64], delta=0.25, reps=3, dense_compare_N=64)
         assert out["dense_compare"]["speedup"] > 0
@@ -150,6 +154,10 @@ class TestCli:
         (["table", "--model", "pd-sym", "--N", "16", "--tol", "0"], "tol must be"),
         (["verify", "--model", "pd-sym", "--N", "8", "--r", "7"], "stencil overflow"),
         (["scaling", "--model", "pd-sym", "--N", "64", "--N", "96"], "N must be"),
+        (["table", "--model", "pd-sym", "--N", "16", "--coarsest", "0"],
+         "--coarsest must be at least 3"),
+        (["scaling", "--model", "pd-sym", "--N", "16", "--reps", "0"],
+         "--reps must be at least 1"),
     ])
     def test_invalid_argument_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

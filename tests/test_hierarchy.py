@@ -73,6 +73,25 @@ class TestTransfer:
         with pytest.raises(ValueError):
             restrict(np.ones(8))
 
+    @pytest.mark.parametrize("nc", [1, 2, 3, 31])
+    def test_match_dense_transfers(self, rng, nc):
+        n = 2 * nc + 1
+        R = restriction_matrix(n)
+        x, xc = rng.standard_normal(n), rng.standard_normal(nc)
+        before = x.tobytes(), xc.tobytes()
+        assert np.abs(restrict(x) - R @ x).max() <= 1e-15 * np.abs(x).max()
+        assert np.abs(prolong(xc) - 2.0 * R.T @ xc).max() <= 1e-15 * np.abs(xc).max()
+        assert (x.tobytes(), xc.tobytes()) == before
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 8])
+    def test_restrict_needs_odd_length_at_least_3(self, n):
+        with pytest.raises(ValueError, match="odd length >= 3"):
+            restrict(np.ones(n))
+
+    def test_prolong_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty coarse vector"):
+            prolong(np.ones(0))
+
 
 class TestCoarsenTpc:
     def test_example_reproduction(self):

@@ -1,7 +1,9 @@
+import sys
 import time
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -289,6 +291,64 @@ class TestFusedKernelRandomised:
         for derived in (op.scale_shift(0.3, 1.7), op.with_banded(other), op.without_banded()):
             _assert_matches_dense(derived, x)
         _assert_matches_dense(op, x)
+
+
+# Embedding lengths of the benchmark hierarchies: pd-sym N = 512 (n = 1023
+# down to 15), and gamma N = 2^15, whose levels n = 65535 down to 7 give
+# every length here, with 65536 on the row-by-row path.
+PDSYM_LENGTHS = (1024, 512, 256, 125, 64, 30, 15)
+GAMMA_LENGTHS = tuple(kernels._embedding_length(2 ** k - 1) for k in range(2, 16))
+
+
+class TestTransformPair:
+    def test_direct_pair_bound(self):
+        assert kernels._rfft is not scipy.fft.rfft
+        assert kernels._irfft is not scipy.fft.irfft
+
+    def test_lengths_cover_both_paths(self):
+        assert set(PDSYM_LENGTHS) <= set(GAMMA_LENGTHS)
+        assert max(GAMMA_LENGTHS) == 65536 > kernels._BATCH_MAX_LENGTH
+
+    @pytest.mark.parametrize("length", sorted(set(GAMMA_LENGTHS)))
+    def test_bitwise_equal_to_scipy_fft(self, rng, length):
+        X = rng.standard_normal((2, length))
+        spectrum = scipy.fft.rfft(X)
+        assert np.array_equal(kernels._rfft(X), spectrum)
+        assert np.array_equal(kernels._irfft(spectrum, length),
+                              scipy.fft.irfft(spectrum, length))
+        # one row at a time, as above the batching cutover
+        assert np.array_equal(kernels._rfft(X[0]), scipy.fft.rfft(X[0]))
+        assert np.array_equal(kernels._irfft(spectrum[1], length),
+                              scipy.fft.irfft(spectrum[1], length))
+
+    def test_probe_rejects_one_ulp(self):
+        def off_by_one_ulp(x):
+            spectrum = scipy.fft.rfft(x)
+            spectrum[0, 0] = np.nextafter(spectrum[0, 0].real, np.inf)
+            return spectrum
+
+        assert kernels._agrees_with_scipy(kernels._rfft, kernels._irfft)
+        assert not kernels._agrees_with_scipy(off_by_one_ulp, kernels._irfft)
+
+    def test_falls_back_when_probe_fails(self, rng, monkeypatch):
+        monkeypatch.setattr(kernels, "_agrees_with_scipy", lambda rfft, irfft: False)
+        pair = kernels._transform_pair()
+        assert pair == (scipy.fft.rfft, scipy.fft.irfft)
+        monkeypatch.setattr(kernels, "_rfft", pair[0])
+        monkeypatch.setattr(kernels, "_irfft", pair[1])
+        for m in (1, 7, 63, 200):
+            op = random_tpc(rng, m, banded_bw=1)
+            x = rng.standard_normal(op.n)
+            _assert_matches_dense(op, x)
+            _assert_matches_dense(op.without_banded(), x)
+        monkeypatch.setattr(kernels, "_BATCH_MAX_LENGTH", 0)    # row by row
+        _assert_matches_dense(op, x)
+
+    def test_falls_back_when_import_fails(self, monkeypatch):
+        import scipy.fft._pocketfft as package
+        monkeypatch.delattr(package, "pypocketfft")
+        monkeypatch.setitem(sys.modules, "scipy.fft._pocketfft.pypocketfft", None)
+        assert kernels._transform_pair() == (scipy.fft.rfft, scipy.fft.irfft)
 
 
 @pytest.mark.slow

@@ -7,6 +7,7 @@ from tpcmg import (GammaModelConfig, Hierarchy, PdModelConfig,
                    assemble_pd_system, build_hierarchy, build_step_operator,
                    jacobi_sweep, solve, tgm_factor_estimate, vcycle)
 from tpcmg.oracle import dense_expand, restriction_matrix
+from tpcmg import solver
 from tpcmg.solver import SingularSmootherError
 
 from conftest import random_tpc
@@ -236,6 +237,24 @@ class TestSolve:
         assert not report.converged and not report.stalled
         assert report.iterations == iterations
         assert report.relative_residuals[-1] > 1.0
+
+    def test_stall_far_from_roundoff_fails(self):
+        # omega = 1e-3 barely smooths: the residual ratios stay above 0.99
+        system = assemble_pd_system(PdModelConfig(N=16, delta=0.25, symmetric=True))
+        op = build_step_operator(system, 1.0 / 16.0)
+        cfg = SmootherConfig(omega_pre=1e-3, omega_post=1e-3)
+        _, report = solve(build_hierarchy(op), np.ones(op.n), cfg)
+        assert report.status == "stagnated"
+        assert not report.converged and not report.stalled
+        assert report.iterations == 4
+        assert 0.3 < report.relative_residuals[-1] < 1.0
+
+    def test_stall_at_roundoff_succeeds(self, rng):
+        hier, op = spd_hierarchy(64, 16, tau=1.0 / 64.0)
+        _, report = solve(hier, rng.standard_normal(op.n), tol=1e-30)
+        assert report.status == "stalled"
+        assert report.converged and report.stalled
+        assert report.relative_residuals[-1] < solver._STALL_BOUND
 
     def test_non_finite_residual_stops_at_once(self, rng):
         hier, op = spd_hierarchy(16, 2, tau=1.0 / 16.0)

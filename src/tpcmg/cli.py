@@ -33,7 +33,7 @@ def _delta_arg(value):
     return out
 
 
-def _add_common(p):
+def _add_model(p):
     p.add_argument("--model", required=True,
                    choices=("gamma", "pd-nonsym", "pd-sym"))
     p.add_argument("--N", action="append", type=int, required=True,
@@ -41,42 +41,46 @@ def _add_common(p):
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--delta", type=_delta_arg, default=0.25,
                    help=f"horizon: positive number or '{SQRT_H}'")
-    p.add_argument("--tol", type=float, default=1e-15)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--omega-pre", type=float, default=1.0)
-    p.add_argument("--omega-post", type=float, default=0.5)
-    p.add_argument("--m1", type=int, default=1)
-    p.add_argument("--m2", type=int, default=1)
-    p.add_argument("--coarsest", type=int, default=7)
-    p.add_argument("--out", choices=("csv", "json", "pretty"), default="pretty")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():
+    """One subparser per command, each with only the flags its branch of
+    main reads; any other flag is a usage error."""
     parser = argparse.ArgumentParser(prog="tpcmg", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("table", "verify", "scaling"):
-        p = sub.add_parser(name)
-        _add_common(p)
-        if name == "verify":
-            p.add_argument("--r", type=int, default=None,
-                           help="mesh ratio; overrides --delta as r/N")
-        if name == "scaling":
-            p.add_argument("--reps", type=int, default=5)
-            p.add_argument("--dense-compare-N", type=int, default=None)
+    table, verify, scaling = (sub.add_parser(name) for name in ("table", "verify", "scaling"))
+    for p in (table, verify, scaling):
+        _add_model(p)
+    table.add_argument("--tol", type=float, default=1e-15)
+    table.add_argument("--max-iter", type=int, default=200)
+    table.add_argument("--omega-pre", type=float, default=1.0)
+    table.add_argument("--omega-post", type=float, default=0.5)
+    table.add_argument("--m1", type=int, default=1)
+    table.add_argument("--m2", type=int, default=1)
+    table.add_argument("--coarsest", type=int, default=7)
+    table.add_argument("--out", choices=("csv", "json", "pretty"), default="pretty")
+    verify.add_argument("--r", type=int, default=None,
+                        help="mesh ratio; overrides --delta as r/N")
+    verify.add_argument("--seed", type=int, default=0)
+    scaling.add_argument("--coarsest", type=int, default=7)
+    scaling.add_argument("--reps", type=int, default=5)
+    scaling.add_argument("--dense-compare-N", type=int, default=None)
+    scaling.add_argument("--out", choices=("json", "pretty"), default="pretty")
     return parser
 
 
 def _check_args(args):
-    """Build the smoother and every model configuration before any work;
-    an invalid argument raises ValueError here."""
-    smoother = SmootherConfig(omega_pre=args.omega_pre, omega_post=args.omega_post,
-                              m1=args.m1, m2=args.m2)
-    _check_stopping(args.tol, args.max_iter)
-    if args.coarsest < 3:
+    """Check every value the command reads before any work: an invalid one
+    raises ValueError here.  Returns the smoother for table, else None."""
+    smoother = None
+    if args.command == "table":
+        smoother = SmootherConfig(omega_pre=args.omega_pre, omega_post=args.omega_post,
+                                  m1=args.m1, m2=args.m2)
+        _check_stopping(args.tol, args.max_iter)
+    if "coarsest" in args and args.coarsest < 3:
         raise ValueError(f"--coarsest must be at least 3, got {args.coarsest}")
-    if getattr(args, "reps", 1) < 1:
+    if "reps" in args and args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
     r = getattr(args, "r", None)
     for N in args.N:

@@ -2,7 +2,7 @@
 
 Piecewise-quadratic collocation of the stationary operator
 
-    Ku(x) = int_a^b (u(x) - u(y)) |x - y|^(-gamma) dy
+    Ku(x) = int_0^1 (u(x) - u(y)) |x - y|^(-gamma) dy
 
 on a uniform grid produces a nonsymmetric, indefinite block system
 
@@ -36,12 +36,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GammaModelConfig:
-    """Grid and kernel parameters; N must be a power of two >= 4."""
+    """Grid and kernel parameters on the domain (0, 1); N must be a power
+    of two >= 4."""
 
     N: int
     gamma: float
-    a: float = 0.0
-    b: float = 1.0
 
     def __post_init__(self):
         if self.N < 4 or (self.N & (self.N - 1)) != 0:
@@ -50,19 +49,17 @@ class GammaModelConfig:
         # and the reported experiments include it.
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.b <= self.a:
-            raise ValueError("domain must satisfy a < b")
 
     @property
     def h(self):
-        return (self.b - self.a) / self.N
+        return 1.0 / self.N
 
     @property
     def grid(self):
         """Collocation points in block order: integer nodes then half nodes."""
         h = self.h
-        xv = self.a + np.arange(1, self.N) * h
-        xw = self.a + (np.arange(self.N) + 0.5) * h
+        xv = np.arange(1, self.N) * h
+        xw = (np.arange(self.N) + 0.5) * h
         return np.concatenate([xv, xw])
 
 

@@ -353,7 +353,6 @@ class TpcOperator:
             raise ValueError("symmetric flag set on a non-symmetric operator")
         self.banded = banded
         self._check_banded()
-        self._diag = None
         self._symbols = None
 
     def _check_finite(self, names):
@@ -491,16 +490,14 @@ class TpcOperator:
 
     def diagonal(self):
         """Main diagonal: a_0 entries, o, d_0 entries plus the banded diagonal."""
-        if self._diag is None:
-            d = np.concatenate([
-                np.full(self.m, self.A.coeff(0)),
-                [self.o],
-                np.full(self.m, self.Dbar.coeff(0)),
-            ])
-            if self.banded is not None:
-                d = d + self.banded.main_diagonal()
-            self._diag = d
-        return self._diag
+        d = np.concatenate([
+            np.full(self.m, self.A.coeff(0)),
+            [self.o],
+            np.full(self.m, self.Dbar.coeff(0)),
+        ])
+        if self.banded is not None:
+            d += self.banded.main_diagonal()
+        return d
 
     def scale_shift(self, scale, shift):
         """Return shift*I + scale*self; the identity goes into a_0, o, d_0."""
@@ -526,7 +523,6 @@ class TpcOperator:
         checked."""
         out = copy.copy(self)
         out.banded = banded
-        out._diag = None
         out._check_banded()
         return out
 

@@ -204,9 +204,8 @@ def gamma_manufactured_problem(model_cfg):
         nonlocal forcing0
         if forcing0 is None:
             forcing0 = gamma_exact_forcing(xs, 0.0, model_cfg.gamma)
-        bound = system.boundary_vector(np.exp(t) * (1.0 + model_cfg.a) ** 6,
-                                       np.exp(t) * (1.0 + model_cfg.b) ** 6)
-        return np.exp(t) * forcing0 + bound
+        e = np.exp(t)           # boundary values u(0, t) = e^t, u(1, t) = 2^6 e^t
+        return e * forcing0 + system.boundary_vector(e, 64.0 * e)
 
     return TransientProblem(system, rhs, exact=exact)
 

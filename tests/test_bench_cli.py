@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tpcmg.bench import rows_to_csv, run_scaling, run_table, run_verify, table_json
-from tpcmg.cli import main
+from tpcmg.cli import build_parser, main
 
 
 class TestRunTable:
@@ -158,6 +158,18 @@ class TestCli:
          "--coarsest must be at least 3"),
         (["scaling", "--model", "pd-sym", "--N", "16", "--reps", "0"],
          "--reps must be at least 1"),
+        (["verify", "--model", "pd-sym", "--N", "16", "--m1", "2"],
+         "unrecognized arguments: --m1 2"),
+        (["verify", "--model", "pd-sym", "--N", "16", "--out", "json"],
+         "unrecognized arguments: --out json"),
+        (["verify", "--model", "pd-sym", "--N", "16", "--tol", "0"],
+         "unrecognized arguments: --tol 0"),
+        (["scaling", "--model", "pd-sym", "--N", "16", "--seed", "1"],
+         "unrecognized arguments: --seed 1"),
+        (["scaling", "--model", "pd-sym", "--N", "16", "--out", "csv"],
+         "argument --out: invalid choice: 'csv'"),
+        (["table", "--model", "pd-sym", "--N", "16", "--seed", "1"],
+         "unrecognized arguments: --seed 1"),
     ])
     def test_invalid_argument_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -166,6 +178,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command,dests", [
+        ("table", {"tol", "max_iter", "omega_pre", "omega_post", "m1", "m2",
+                   "coarsest", "out"}),
+        ("verify", {"r", "seed"}),
+        ("scaling", {"coarsest", "reps", "dense_compare_N", "out"}),
+    ])
+    def test_each_command_has_only_its_flags(self, command, dests):
+        args = build_parser().parse_args([command, "--model", "pd-sym", "--N", "16"])
+        assert set(vars(args)) == {"command", "model", "N", "gamma", "delta"} | dests
 
     def test_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "tpcmg.cli", "table",

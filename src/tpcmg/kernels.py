@@ -1,7 +1,10 @@
 """FFT-backed structured matrix kernels.
 
 Square-Toeplitz, rectangular-Toeplitz and Toeplitz-plus-Cross
-matrix-vector products in O(n log n) via circulant embedding.  A
+matrix-vector products in O(n log n) via circulant embedding.  The
+circulant of an m x m block whose stored offsets reach |l| <= r has length
+next_fast_len(m + r): a dense window gets the usual 2m - 1, a banded one
+(the peridynamic levels, r about m/4) a shorter transform.  A
 Toeplitz-plus-Cross product runs its four Toeplitz blocks as one fused 2x2
 block kernel: one batched rfft of the (v, wbar) rows, a contraction with
 the blocks' cached embedded symbols and one batched irfft (above an
@@ -84,15 +87,18 @@ _rfft, _irfft = _transform_pair()
 _BATCH_MAX_LENGTH = 32768
 
 
-def _embedding_length(m):
-    """Length of the embedding circulant of an m x m Toeplitz block."""
-    return _fft.next_fast_len(2 * m - 1, real=True)
+def _embedding_length(m, reach):
+    """Length of the embedding circulant of m x m Toeplitz blocks whose
+    stored offsets satisfy |l| <= reach: the product needs no wrap-around
+    past m + reach, so a banded window gets a shorter transform than the
+    2m - 1 of a dense one."""
+    return _fft.next_fast_len(m + reach, real=True)
 
 
 def _embedding_column(spec, length):
     """First column of the length-``length`` circulant whose leading m x m
-    block is ``spec``: t_0, t_{-1}, ..., t_{-(m-1)}, zeros, t_{m-1}, ..., t_1,
-    written straight from the stored window."""
+    block is ``spec`` (length >= m + spec.reach): t_0, t_{-1}, ..., zeros,
+    ..., t_1, written straight from the stored window."""
     col = np.zeros(length)
     lo, data = spec.lo, spec.data
     split = min(max(1 - lo, 0), data.size)        # data[:split]: offsets <= 0
@@ -154,6 +160,11 @@ class ToeplitzSpec:
     def stored_count(self):
         return self.data.size
 
+    @property
+    def reach(self):
+        """Largest stored |offset|; 0 for a diagonal or zero matrix."""
+        return max(-self.lo, self.lo + self.data.size - 1, 0)
+
     def coeff(self, l):
         """Coefficient t_l; out-of-window offsets read as zero."""
         k = l - self.lo
@@ -177,7 +188,7 @@ class ToeplitzSpec:
     def _embedded_symbol(self):
         """rfft of the first column of the embedding circulant (cached)."""
         if self._symbol is None:
-            length = _embedding_length(self.m)
+            length = _embedding_length(self.m, self.reach)
             self._symbol = (length, _rfft(_embedding_column(self, length)))
         return self._symbol
 
@@ -392,12 +403,14 @@ class TpcOperator:
 
     def _block_symbols(self):
         """(L, S) with S[0] the embedded symbols of (A, Dbar) and S[1] those
-        of (Bbar, Cbar), each the rfft of a length-L embedding column;
-        computed on the first matvec and cached."""
+        of (Bbar, Cbar), each the rfft of a length-L embedding column, L fit
+        to the largest reach of the four blocks; computed on the first
+        matvec and cached."""
         if self._symbols is None:
-            length = _embedding_length(self.m)
+            specs = (self.A, self.Dbar, self.Bbar, self.Cbar)
+            length = _embedding_length(self.m, max(spec.reach for spec in specs))
             S = np.empty((2, 2, length // 2 + 1), dtype=complex)
-            for k, spec in enumerate((self.A, self.Dbar, self.Bbar, self.Cbar)):
+            for k, spec in enumerate(specs):
                 S[k // 2, k % 2] = _rfft(_embedding_column(spec, length))
             self._symbols = (length, S)
         return self._symbols

@@ -3,8 +3,8 @@
 One V(m1, m2) cycle per level does m1 damped-Jacobi pre-sweeps from the
 zero initial guess, restricts the residual, recurses, prolong-corrects and
 post-smooths m2 times; the coarsest level is solved with the hierarchy's
-dense LU factors.  The cycle below n = 31 (from the first level above the
-coarsest with n <= 31 down) is applied as one dense matrix, built on first
+dense LU factors.  The cycle below n = 63 (from the first level above the
+coarsest with n <= 63 down) is applied as one dense matrix, built on first
 use from that same recursion and cached on the hierarchy per smoother,
 together with each level's inverse diagonal.  The sweeps and residuals
 work in place on the cycle's own iterate and on each fresh matvec output,
@@ -101,10 +101,12 @@ class SolveReport:
 # operator with tau = 100; a smoother damped to omega = 1e-3 stalls at 0.36.
 _STALL_BOUND = 1024 * np.finfo(float).eps
 
-# The tail matrix costs n^2 doubles and n cycles to build: 7.7 KB at n = 31,
-# while at n = 63 (32 KB) it raised the peak memory of a pd-sym N = 512 march
-# by 11% (0.341 -> 0.378 MB), against 3% at n = 31.
-_TAIL_SIZE = 31
+# The tail matrix costs n^2 doubles and n cycles to build: 32 KB at n = 63.
+# Peak memory of a pd-sym N = 512 march (tracemalloc, a fresh process, set-up
+# and 16 steps), tail from n = 31 -> n = 63: 0.346 -> 0.373 MB (+8%) with
+# every embedding at 2m - 1, and 0.303 -> 0.330 MB with each level's
+# embedding fit to its reach, as now.  From n = 127 it would hold 129 KB.
+_TAIL_SIZE = 63
 
 
 def _inv_diag(op):

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,3 +197,10 @@ class TestCli:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert out.stdout.startswith("N,error")
+
+    def test_package_runs_as_module(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-m", "tpcmg", "--help"],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0
+        assert "table" in out.stdout

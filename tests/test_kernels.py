@@ -7,8 +7,10 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpcmg import (BandedCorrection, RectToeplitzSpec,
-                   ToeplitzSpec, TpcOperator, rect_toeplitz_matvec_tall,
+from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
+                   RectToeplitzSpec, ToeplitzSpec, TpcOperator,
+                   assemble_gamma_system, assemble_pd_system, build_hierarchy,
+                   build_step_operator, rect_toeplitz_matvec_tall,
                    rect_toeplitz_matvec_wide, toeplitz_matvec)
 from tpcmg import kernels
 from tpcmg.oracle import dense_expand
@@ -256,8 +258,8 @@ def _windowed_spec(rng, m, short, sym=False):
     return ToeplitzSpec(m, c, symmetric=sym)
 
 
-def _assert_matches_dense(op, x):
-    dense = dense_expand(op)
+def _assert_matches_dense(op, x, dense=None):
+    dense = dense_expand(op) if dense is None else dense
     ref = dense @ x
     scale = 1.0 + np.abs(x).max() * np.abs(dense).sum(axis=1).max()
     assert np.abs(op.matvec(x) - ref).max() <= 1e-11 * scale
@@ -293,11 +295,88 @@ class TestFusedKernelRandomised:
         _assert_matches_dense(op, x)
 
 
-# Embedding lengths of the benchmark hierarchies: pd-sym N = 512 (n = 1023
-# down to 15), and gamma N = 2^15, whose levels n = 65535 down to 7 give
-# every length here, with 65536 on the row-by-row path.
-PDSYM_LENGTHS = (1024, 512, 256, 125, 64, 30, 15)
-GAMMA_LENGTHS = tuple(kernels._embedding_length(2 ** k - 1) for k in range(2, 16))
+def _level_reach(op):
+    return max(spec.reach for spec in (op.A, op.Dbar, op.Bbar, op.Cbar))
+
+
+def _step_levels(system, N):
+    return build_hierarchy(build_step_operator(system, 1.0 / N)).levels
+
+
+# The benchmark hierarchies: pd-sym N = 512 (n = 1023 down to 7, banded
+# windows but for the n = 7 coarsest) and gamma N = 2^15 (n = 65535 down to
+# 7, dense windows, with L = 65536 on the row-by-row path), and the
+# embedding lengths of their levels.
+PDSYM_LEVELS = _step_levels(
+    assemble_pd_system(PdModelConfig(N=512, delta=0.25, symmetric=True)), 512)
+GAMMA_LEVELS = _step_levels(
+    assemble_gamma_system(GammaModelConfig(N=2 ** 15, gamma=0.5)), 2 ** 15)
+PDSYM_LENGTHS = tuple(kernels._embedding_length(op.m, _level_reach(op))
+                      for op in PDSYM_LEVELS)
+GAMMA_LENGTHS = tuple(kernels._embedding_length(op.m, _level_reach(op))
+                      for op in GAMMA_LEVELS)
+
+
+def _window(rng, m, lo, hi):
+    """ToeplitzSpec with random coefficients on offsets lo..hi only."""
+    c = np.zeros(2 * m - 1)
+    c[lo + m - 1:hi + m] = rng.standard_normal(hi - lo + 1)
+    return ToeplitzSpec(m, c)
+
+
+def _windows_operator(rng, specs):
+    """TpcOperator with blocks (A, Bbar, Cbar, Dbar) = specs, checked, like
+    each spec alone, against its dense form at 1e-11."""
+    m = specs[0].m
+    op = TpcOperator(*specs, *rng.standard_normal((4, m)), 0.5)
+    _assert_matches_dense(op, rng.standard_normal(op.n), op.dense())
+    for spec in specs:
+        x = rng.standard_normal(m)
+        ref = dense_toeplitz(spec) @ x
+        assert np.abs(toeplitz_matvec(spec, x) - ref).max() <= 1e-11 * (
+            1.0 + np.abs(x).max() * np.abs(spec.data).sum())
+    return op
+
+
+class TestEmbeddingLength:
+    def test_pdsym_levels_shorter_than_dense_embedding(self):
+        for op in PDSYM_LEVELS[:-1]:        # the n = 7 coarsest is dense
+            length = op._block_symbols()[0]
+            assert length == scipy.fft.next_fast_len(op.m + _level_reach(op), real=True)
+            assert length < scipy.fft.next_fast_len(2 * op.m - 1, real=True)
+
+    def test_gamma_levels_keep_dense_embedding(self):
+        for op in GAMMA_LEVELS:
+            assert _level_reach(op) == op.m - 1
+            assert op._block_symbols()[0] == scipy.fft.next_fast_len(2 * op.m - 1, real=True)
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 64])
+    def test_reach_zero(self, rng, m):
+        scale = rng.standard_normal(2)
+        op = _windows_operator(rng, (
+            ToeplitzSpec.identity(m).scaled(scale[0]), ToeplitzSpec.zero(m),
+            ToeplitzSpec.zero(m), ToeplitzSpec.identity(m).scaled(scale[1])))
+        assert _level_reach(op) == 0
+        assert op._block_symbols()[0] == scipy.fft.next_fast_len(m, real=True)
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 63, 200])
+    def test_one_sided_windows_at_full_reach(self, rng, m):
+        specs = (_window(rng, m, 1, m - 1), _window(rng, m, -(m - 1), -1),
+                 _window(rng, m, m // 2, m - 1), _window(rng, m, -(m - 1), -(m // 2) - 1))
+        assert specs[0].lo > 0 and specs[1].lo + specs[1].stored_count - 1 < 0
+        op = _windows_operator(rng, specs)
+        assert _level_reach(op) == m - 1
+
+    @pytest.mark.parametrize("m,reach", [(11, 5), (20, 5), (60, 20), (100, 28)])
+    def test_fast_length_without_padding(self, rng, m, reach):
+        """m + reach is already a fast length, so the embedding has no slack:
+        offset +reach lands right after the last of the m rows."""
+        specs = (_window(rng, m, -reach, reach), _window(rng, m, 0, reach),
+                 _window(rng, m, -reach, 0), _window(rng, m, -reach, reach // 2))
+        op = _windows_operator(rng, specs)
+        assert op._block_symbols()[0] == m + reach
+        for spec in specs:
+            assert spec.reach == reach and spec._embedded_symbol()[0] == m + reach
 
 
 class TestTransformPair:
@@ -306,10 +385,11 @@ class TestTransformPair:
         assert kernels._irfft is not scipy.fft.irfft
 
     def test_lengths_cover_both_paths(self):
-        assert set(PDSYM_LENGTHS) <= set(GAMMA_LENGTHS)
-        assert max(GAMMA_LENGTHS) == 65536 > kernels._BATCH_MAX_LENGTH
+        lengths = set(PDSYM_LENGTHS) | set(GAMMA_LENGTHS)
+        assert min(lengths) <= kernels._BATCH_MAX_LENGTH
+        assert max(lengths) == 65536 > kernels._BATCH_MAX_LENGTH
 
-    @pytest.mark.parametrize("length", sorted(set(GAMMA_LENGTHS)))
+    @pytest.mark.parametrize("length", sorted(set(PDSYM_LENGTHS) | set(GAMMA_LENGTHS)))
     def test_bitwise_equal_to_scipy_fft(self, rng, length):
         X = rng.standard_normal((2, length))
         spectrum = scipy.fft.rfft(X)

@@ -156,12 +156,21 @@ class TestVcycle:
         for cfg in (SMOOTHERS[0], SMOOTHERS[3], SMOOTHERS[0], SMOOTHERS[3]):
             assert_matches_dense_cycle(hier, cfg, b)
 
-    def test_coarsest_31_has_no_tail(self, rng):
+    def test_coarsest_63_has_no_tail(self, rng):
         _, op = spd_hierarchy(64, 8, tau=1.0 / 64)
-        hier = build_hierarchy(op, coarsest_size_limit=31)
-        assert [level.n for level in hier.levels] == [127, 63, 31]
+        hier = build_hierarchy(op, coarsest_size_limit=63)
+        assert [level.n for level in hier.levels] == [127, 63]
         for cfg in SMOOTHERS[:2]:
             assert_matches_dense_cycle(hier, cfg, rng.standard_normal(op.n))
+            assert hier.cycle_cache[cfg].tail is None
+
+    def test_default_hierarchy_caches_tail_at_63(self, rng):
+        hier, op = spd_hierarchy(64, 8, tau=1.0 / 64)
+        assert [level.n for level in hier.levels] == [127, 63, 31, 15, 7]
+        for cfg in SMOOTHERS[:2]:
+            assert_matches_dense_cycle(hier, cfg, rng.standard_normal(op.n))
+            cache = hier.cycle_cache[cfg]
+            assert cache.tail_level == 1 and cache.tail.shape == (63, 63)
 
     def test_contraction_bound_two_level(self, rng):
         hier, op = spd_hierarchy(8, 1)

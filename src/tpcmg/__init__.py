@@ -11,9 +11,8 @@ from .gamma_model import (GammaCoefficients, GammaModelConfig, GammaSystem,
                           gamma_exact_forcing)
 from .hierarchy import (Hierarchy, build_hierarchy, coarsen_banded,
                         coarsen_tpc, prolong, restrict)
-from .kernels import (BandedCorrection, RectToeplitzSpec, ToeplitzSpec,
-                      TpcOperator, rect_toeplitz_matvec_tall,
-                      rect_toeplitz_matvec_wide, toeplitz_matvec)
+from .kernels import (BandedCorrection, ToeplitzSpec, TpcOperator,
+                      toeplitz_matvec)
 from .peridynamic import (CollarSamples, PdCoefficients, PdModelConfig,
                           PdSystem, assemble_pd_system, fold_boundary_rhs,
                           pd_coefficients, pd_exact_forcing, sample_collar)
@@ -26,9 +25,7 @@ from .timestepper import (MarchResult, TransientConfig, TransientProblem,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandedCorrection", "RectToeplitzSpec", "ToeplitzSpec",
-    "TpcOperator", "toeplitz_matvec",
-    "rect_toeplitz_matvec_wide", "rect_toeplitz_matvec_tall",
+    "BandedCorrection", "ToeplitzSpec", "TpcOperator", "toeplitz_matvec",
     "Hierarchy", "build_hierarchy", "coarsen_tpc", "coarsen_banded",
     "restrict", "prolong",
     "GammaModelConfig", "GammaCoefficients", "GammaSystem",

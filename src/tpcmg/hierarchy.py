@@ -11,8 +11,6 @@ roundoff, which is the module's master invariant.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import scipy.linalg as sla
 
@@ -265,9 +263,6 @@ class Hierarchy:
                                    for l, b in sorted(op.banded.bands.items())}
             out.append(entry)
         return out
-
-    def debug_json(self, indent=None):
-        return json.dumps(self.describe(), indent=indent)
 
 
 def build_hierarchy(finest, coarsest_size_limit=7):

@@ -1,10 +1,10 @@
 """FFT-backed structured matrix kernels.
 
-Square-Toeplitz, rectangular-Toeplitz and Toeplitz-plus-Cross
-matrix-vector products in O(n log n) via circulant embedding.  The
-circulant of an m x m block whose stored offsets reach |l| <= r has length
-next_fast_len(m + r): a dense window gets the usual 2m - 1, a banded one
-(the peridynamic levels, r about m/4) a shorter transform.  A
+Square-Toeplitz and Toeplitz-plus-Cross matrix-vector products in
+O(n log n) via circulant embedding.  The circulant of an m x m block
+whose stored offsets reach |l| <= r has length next_fast_len(m + r): a
+dense window gets the usual 2m - 1, a banded one (the peridynamic
+levels, r about m/4) a shorter transform.  A
 Toeplitz-plus-Cross product runs its four Toeplitz blocks as one fused 2x2
 block kernel: one batched rfft of the (v, wbar) rows, a contraction with
 the blocks' cached embedded symbols and one batched irfft (above an
@@ -35,12 +35,9 @@ import scipy.fft as _fft
 
 __all__ = [
     "ToeplitzSpec",
-    "RectToeplitzSpec",
     "BandedCorrection",
     "TpcOperator",
     "toeplitz_matvec",
-    "rect_toeplitz_matvec_wide",
-    "rect_toeplitz_matvec_tall",
 ]
 
 
@@ -206,54 +203,6 @@ def toeplitz_matvec(T, x):
     return _irfft(X, length)[:T.m]
 
 
-class RectToeplitzSpec:
-    """Rectangular Toeplitz block: entry (i, j) = b[j - i].
-
-    Offsets run over [-(rows-1), cols-1]; the sequence has rows+cols-1
-    entries.  Matvecs run on ``square``, the completion to a square Toeplitz
-    matrix of size max(rows, cols) with zero-filled unspecified coefficients.
-    """
-
-    def __init__(self, rows, cols, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if rows < 1 or cols < 1:
-            raise ValueError("rows and cols must be positive")
-        if coeffs.shape != (rows + cols - 1,):
-            raise ValueError(
-                f"coeffs must have length rows+cols-1={rows + cols - 1}, got {coeffs.shape}")
-        self.rows, self.cols = int(rows), int(cols)
-        n = max(self.rows, self.cols)
-        full = np.zeros(2 * n - 1)
-        full[n - self.rows:n - 1 + self.cols] = coeffs
-        self.square = ToeplitzSpec(n, full)
-
-    @property
-    def coeffs(self):
-        """The sequence b, index l + rows - 1."""
-        n = self.square.m
-        return self.square.coeffs[n - self.rows:n - 1 + self.cols]
-
-    def coeff(self, l):
-        return self.square.coeff(l)
-
-
-def rect_toeplitz_matvec_wide(B, w):
-    """Product B @ w for a wide block (rows < cols): first rows of B_T w."""
-    if B.rows >= B.cols:
-        raise ValueError("wide matvec requires rows < cols")
-    return toeplitz_matvec(B.square, w)[:B.rows]
-
-
-def rect_toeplitz_matvec_tall(C, v):
-    """Product C @ v for a tall block (rows > cols): C_T applied to padded v."""
-    if C.rows <= C.cols:
-        raise ValueError("tall matvec requires rows > cols")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (C.cols,):
-        raise ValueError(f"v must have length {C.cols}, got {v.shape}")
-    return toeplitz_matvec(C.square, np.concatenate([v, np.zeros(C.rows - C.cols)]))
-
-
 class BandedCorrection:
     """Position-dependent banded matrix stored by diagonals.
 
@@ -354,8 +303,8 @@ class TpcOperator:
         self.n = 2 * m + 1
         self.symmetric = bool(symmetric)
         # a symmetric operator's Cbar, q and zeta equal finite pieces below
-        self._check_finite(("A", "Bbar", "Dbar", "p", "xi") if symmetric else
-                           ("A", "Bbar", "Cbar", "Dbar", "p", "q", "xi", "zeta"))
+        self._check_finite(("A", "Bbar", "Dbar", "p", "xi", "o") if symmetric else
+                           ("A", "Bbar", "Cbar", "Dbar", "p", "q", "xi", "zeta", "o"))
         if symmetric and not (
                 self.A.symmetric and self.Dbar.symmetric
                 and np.array_equal(self.Cbar.coeffs, self.Bbar.coeffs[::-1])
@@ -367,15 +316,16 @@ class TpcOperator:
         self._symbols = None
 
     def _check_finite(self, names):
-        """Reject NaN or infinite Toeplitz windows and cross vectors, naming
-        the piece: one isfinite pass over each stored array.  The center o
-        is left to the checks of its first use (the coarsest-level factor,
-        or the solve's non_finite status)."""
+        """Reject NaN or infinite Toeplitz windows, cross vectors and the
+        center o, naming the piece: one isfinite pass over each stored
+        array."""
         for name in names:
             piece = getattr(self, name)
-            is_spec = isinstance(piece, ToeplitzSpec)
-            if not np.isfinite(piece.data if is_spec else piece).all():
-                kind = "Toeplitz block" if is_spec else "cross vector"
+            if isinstance(piece, ToeplitzSpec):
+                kind, piece = "Toeplitz block", piece.data
+            else:
+                kind = "center" if name == "o" else "cross vector"
+            if not np.isfinite(piece).all():
                 self._reject_non_finite(f"{kind} {name}")
 
     def _reject_non_finite(self, piece):

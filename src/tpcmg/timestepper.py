@@ -8,8 +8,8 @@ boundary contributions, so one BDF4 step solves
         = 4 U^{k-1} - 3 U^{k-2} + 4/3 U^{k-3} - 1/4 U^{k-4} + tau G(t_k).
 
 The step operator is time-independent; its hierarchy is built once per
-march (bootstrap startup builds small extra hierarchies for its own step
-operators).
+march.  The startup values U^0 ... U^3 come from the exact solution: the
+fourth-order tables are only reproducible with non-polluting startup.
 
 In the manufactured problems the forcing (and, for peridynamics, the
 collar data) is e^t times a t-free array.  Each problem evaluates that
@@ -51,14 +51,13 @@ class TransientConfig:
 
     tau: float
     final_time: float = 1.0
-    startup: str = "exact"          # "exact" or "bootstrap"
-    bootstrap_substeps: int = 32
 
     def __post_init__(self):
+        for name in ("tau", "final_time"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.startup not in ("exact", "bootstrap"):
-            raise ValueError(f"unknown startup policy {self.startup!r}")
         steps = self.final_time / self.tau
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 4:
             raise ValueError("final_time must be >= 4 tau and a multiple of tau")
@@ -70,14 +69,13 @@ class TransientConfig:
 
 class TransientProblem:
     """Everything a march needs: the stationary system, the per-step
-    forcing in f-units (boundary terms folded in), the initial value, and
-    optionally the exact solution for startup and error measurement."""
+    forcing in f-units (boundary terms folded in), and the exact solution,
+    which gives the startup values and the error at the final time."""
 
-    def __init__(self, system, rhs, exact=None, initial=None):
+    def __init__(self, system, rhs, exact):
         self.system = system
         self.rhs = rhs
         self.exact = exact
-        self.initial = initial
 
 
 @dataclass
@@ -88,81 +86,32 @@ class MarchResult:
     avg_iterations: float = 0.0
     solve_time: float = 0.0
     wall_time: float = 0.0
-    hierarchy_builds: int = 0
     reports: list = field(default_factory=list)
 
 
-def build_step_operator(system, tau, shift=25.0 / 12.0):
-    """Implicit step operator shift*I + (tau/eta) * A_stationary.
+def build_step_operator(system, tau):
+    """Implicit BDF4 step operator 25/12 I + (tau/eta) * A_stationary.
 
     The identity shift folds into the diagonal coefficients a_0, o, d_0 of
     the cross representation.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return system.op.scale_shift(tau / system.scale, shift)
-
-
-def _bdf_k_step(system, u_hist, tau, coeff_lhs, weights, rhs_vec,
-                smoother, tol, max_iter, build):
-    hier = build(build_step_operator(system, tau, shift=coeff_lhs))
-    b = tau * rhs_vec
-    for w, u in zip(weights, u_hist):
-        b = b + w * u
-    x, _ = solve(hier, b, smoother, tol=tol, max_iter=max_iter)
-    return x
-
-
-def _bootstrap_startup(problem, u0, cfg, smoother, tol, max_iter, build):
-    """Lower-order BDF bootstrap: BDF1 on refined substeps for U^1, then
-    one BDF2 and one BDF3 step.  Adequate for non-manufactured runs; the
-    benchmark tables use exact startup."""
-    sys_ = problem.system
-    tau = cfg.tau
-    s = cfg.bootstrap_substeps
-    tau_sub = tau / s
-    hier1 = build(build_step_operator(sys_, tau_sub, shift=1.0))
-    u = np.array(u0, dtype=float)
-    for j in range(1, s + 1):
-        b = u + tau_sub * problem.rhs(j * tau_sub)
-        u, _ = solve(hier1, b, smoother, tol=tol, max_iter=max_iter)
-    u1 = u
-    u2 = _bdf_k_step(sys_, [u1, u0], tau, 1.5, (2.0, -0.5),
-                     problem.rhs(2 * tau), smoother, tol, max_iter, build)
-    u3 = _bdf_k_step(sys_, [u2, u1, u0], tau, 11.0 / 6.0, (3.0, -1.5, 1.0 / 3.0),
-                     problem.rhs(3 * tau), smoother, tol, max_iter, build)
-    return [u0, u1, u2, u3]
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
+    return system.op.scale_shift(tau / system.scale, 25.0 / 12.0)
 
 
 def bdf4_march(problem, cfg, smoother=None, tol=1e-15, max_iter=200, coarsest=7):
     """March the problem to final time; returns the solution and a report.
 
-    Startup values come from the exact solution when available (the tables
-    are only reproducible with non-polluting startup) or from the BDF
-    bootstrap.  The max-norm error is measured at the final time.
-    wall_time covers the whole call; solve_time only the solves after
-    startup.
+    Startup values U^0 ... U^3 are the exact solution at 0, tau, 2 tau and
+    3 tau; the max-norm error is measured at the final time.  wall_time
+    covers the whole call; solve_time only the solves after startup.
     """
     start = time.perf_counter()
     smoother = smoother or SmootherConfig()
     tau = cfg.tau
-    system = problem.system
-    builds = 0
-
-    def build(op):
-        nonlocal builds
-        builds += 1
-        return build_hierarchy(op, coarsest)
-
-    if cfg.startup == "exact":
-        if problem.exact is None:
-            raise ValueError("exact startup requires problem.exact")
-        history = [problem.exact(j * tau) for j in range(4)]
-    else:
-        u0 = problem.initial if problem.initial is not None else problem.exact(0.0)
-        history = _bootstrap_startup(problem, u0, cfg, smoother, tol, max_iter, build)
-
-    hier = build(build_step_operator(system, tau))
+    history = [problem.exact(j * tau) for j in range(4)]
+    hier = build_hierarchy(build_step_operator(problem.system, tau), coarsest)
 
     result = MarchResult(u_final=None, max_error=np.nan)
     t_solve = 0.0
@@ -182,9 +131,7 @@ def bdf4_march(problem, cfg, smoother=None, tol=1e-15, max_iter=200, coarsest=7)
     result.u_final = u
     result.solve_time = t_solve
     result.avg_iterations = float(np.mean(result.iterations)) if result.iterations else 0.0
-    result.hierarchy_builds = builds
-    if problem.exact is not None:
-        result.max_error = float(np.abs(u - problem.exact(cfg.final_time)).max())
+    result.max_error = float(np.abs(u - problem.exact(cfg.final_time)).max())
     result.wall_time = time.perf_counter() - start
     return result
 

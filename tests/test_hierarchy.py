@@ -237,19 +237,23 @@ class TestBuildHierarchy:
             build_hierarchy(zero)
 
     def test_non_finite_coarsest_rejected(self):
-        m = 3
-        op = TpcOperator(ToeplitzSpec.identity(m), ToeplitzSpec.zero(m),
+        """Every piece is finite, but a_0 plus the band-0 correction
+        overflows to inf in the dense coarsest matrix."""
+        m, n = 3, 7
+        op = TpcOperator(ToeplitzSpec.identity(m).scaled(1e308), ToeplitzSpec.zero(m),
                          ToeplitzSpec.zero(m), ToeplitzSpec.identity(m),
-                         np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m), np.nan)
-        with pytest.raises(ValueError, match=r"n = 7 has non-finite entries"):
+                         np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m), 1.0,
+                         banded=BandedCorrection(n, {0: np.full(n, 1e308)}))
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"n = 7 has non-finite entries"):
             build_hierarchy(op)
 
     def test_bad_finest_size(self, rng):
         with pytest.raises(ValueError):
             build_hierarchy(random_tpc(rng, 6))
 
-    def test_debug_json_round_trip(self, rng):
+    def test_describe_json_round_trip(self, rng):
         hier = build_hierarchy(random_tpc(rng, 7))
-        levels = json.loads(hier.debug_json())
+        levels = json.loads(json.dumps(hier.describe()))
         assert [entry["n"] for entry in levels] == [15, 7]
         assert {"A", "Bbar", "Cbar", "Dbar", "p", "q", "xi", "zeta", "o"} <= set(levels[0])

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
-                   RectToeplitzSpec, ToeplitzSpec, TpcOperator,
-                   assemble_gamma_system, assemble_pd_system, build_hierarchy,
-                   build_step_operator, rect_toeplitz_matvec_tall,
-                   rect_toeplitz_matvec_wide, toeplitz_matvec)
+                   ToeplitzSpec, TpcOperator, assemble_gamma_system,
+                   assemble_pd_system, build_hierarchy, build_step_operator,
+                   toeplitz_matvec)
 from tpcmg import kernels
 from tpcmg.oracle import dense_expand
 
@@ -76,62 +75,6 @@ class TestToeplitz:
         spec = ToeplitzSpec.identity(4)
         with pytest.raises(ValueError):
             toeplitz_matvec(spec, np.ones(5))
-
-
-class TestRectToeplitz:
-    def test_wide_all_ones(self):
-        B = RectToeplitzSpec(2, 3, np.ones(4))
-        assert np.allclose(rect_toeplitz_matvec_wide(B, [1, 1, 1]), [3, 3])
-
-    def test_wide_basis_vector_gives_first_column(self):
-        M, N = 4, 7
-        coeffs = np.arange(-(M - 1), N, dtype=float)
-        B = RectToeplitzSpec(M, N, coeffs)
-        e1 = np.zeros(N)
-        e1[0] = 1.0
-        first_col = np.array([B.coeff(-i) for i in range(M)])
-        assert np.allclose(rect_toeplitz_matvec_wide(B, e1), first_col)
-
-    def test_tall_all_ones(self):
-        C = RectToeplitzSpec(3, 2, np.ones(4))
-        assert np.allclose(rect_toeplitz_matvec_tall(C, [1, 1]), [2, 2, 2])
-
-    def test_tall_identity_prefix(self, rng):
-        # C = first M columns of the N x N identity: result is [v; zeros]
-        N, M = 6, 4
-        coeffs = np.zeros(N + M - 1)
-        coeffs[N - 1] = 1.0    # offset 0
-        C = RectToeplitzSpec(N, M, coeffs)
-        v = rng.standard_normal(M)
-        out = rect_toeplitz_matvec_tall(C, v)
-        assert np.allclose(out, np.concatenate([v, np.zeros(N - M)]))
-
-    @pytest.mark.parametrize("shape", [(63, 64), (17, 40), (2, 3)])
-    def test_wide_vs_dense(self, rng, shape):
-        M, N = shape
-        coeffs = rng.standard_normal(M + N - 1)
-        B = RectToeplitzSpec(M, N, coeffs)
-        dense = np.array([[B.coeff(j - i) for j in range(N)] for i in range(M)])
-        w = rng.standard_normal(N)
-        assert np.abs(rect_toeplitz_matvec_wide(B, w) - dense @ w).max() < 1e-12 * (
-            1 + np.abs(dense @ w).max())
-
-    @pytest.mark.parametrize("shape", [(64, 63), (40, 17), (3, 2)])
-    def test_tall_vs_dense(self, rng, shape):
-        N, M = shape
-        coeffs = rng.standard_normal(N + M - 1)
-        C = RectToeplitzSpec(N, M, coeffs)
-        dense = np.array([[C.coeff(j - i) for j in range(M)] for i in range(N)])
-        v = rng.standard_normal(M)
-        assert np.abs(rect_toeplitz_matvec_tall(C, v) - dense @ v).max() < 1e-12 * (
-            1 + np.abs(dense @ v).max())
-
-    def test_orientation_errors(self):
-        sq = RectToeplitzSpec(3, 3, np.ones(5))
-        with pytest.raises(ValueError):
-            rect_toeplitz_matvec_wide(sq, np.ones(3))
-        with pytest.raises(ValueError):
-            rect_toeplitz_matvec_tall(sq, np.ones(3))
 
 
 class TestBanded:
@@ -201,19 +144,22 @@ class TestTpcOperator:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("piece", ["A", "Bbar", "Cbar", "Dbar",
-                                       "p", "q", "xi", "zeta", "band"])
+                                       "p", "q", "xi", "zeta", "o", "band"])
     def test_non_finite_piece_rejected(self, rng, piece, bad):
         op = random_tpc(rng, 5, banded_bw=1)
         parts = dict(A=op.A.coeffs, Bbar=op.Bbar.coeffs, Cbar=op.Cbar.coeffs,
                      Dbar=op.Dbar.coeffs, p=op.p.copy(), q=op.q.copy(),
-                     xi=op.xi.copy(), zeta=op.zeta.copy())
+                     xi=op.xi.copy(), zeta=op.zeta.copy(), o=op.o)
         bands = {l: b.copy() for l, b in op.banded.bands.items()}
-        (bands[-1] if piece == "band" else parts[piece])[2] = bad
+        if piece == "o":
+            parts["o"] = bad
+        else:
+            (bands[-1] if piece == "band" else parts[piece])[2] = bad
         specs = [ToeplitzSpec(5, parts[k]) for k in ("A", "Bbar", "Cbar", "Dbar")]
-        named = "banded band -1" if piece == "band" else piece
+        named = {"band": "banded band -1", "o": "center o"}.get(piece, piece)
         with pytest.raises(ValueError, match=f"n = 11 has non-finite entries in .*{named}$"):
             TpcOperator(*specs, parts["p"], parts["q"], parts["xi"], parts["zeta"],
-                        op.o, banded=BandedCorrection(op.n, bands))
+                        parts["o"], banded=BandedCorrection(op.n, bands))
 
     @pytest.mark.parametrize("m", [1, 2, 7, 63, 200])
     @pytest.mark.parametrize("symmetric", [False, True])

@@ -103,27 +103,30 @@ class TestMarch:
         assert type(result.u_final) is np.ndarray and result.u_final.shape == (31,)
         assert np.abs(result.u_final - problem.exact(1.0)).max() == result.max_error
 
-    def test_hierarchy_built_once(self):
-        problem = pd_manufactured_problem(PdModelConfig(N=16, delta=0.25, symmetric=True))
-        result = bdf4_march(problem, TransientConfig(tau=1.0 / 16.0))
-        assert result.hierarchy_builds == 1
+    def test_concurrent_marches_match_serial(self):
+        """Each march keeps its state per call: two marches on two threads
+        give bitwise the solution and iteration counts of a serial one."""
+        def march():
+            problem = pd_manufactured_problem(PdModelConfig(N=16, delta=0.25, symmetric=True))
+            return bdf4_march(problem, TransientConfig(tau=1.0 / 16.0))
 
-    def test_hierarchy_builds_counted_per_march_across_threads(self):
+        serial = march()
         results = [None, None]
         start = threading.Barrier(2)
 
-        def march(i):
-            problem = pd_manufactured_problem(PdModelConfig(N=16, delta=0.25, symmetric=True))
+        def run(i):
             start.wait(timeout=60)
-            results[i] = bdf4_march(problem, TransientConfig(tau=1.0 / 16.0))
+            results[i] = march()
 
-        threads = [threading.Thread(target=march, args=(i,)) for i in range(2)]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=120)
         assert not any(t.is_alive() for t in threads)
-        assert [r.hierarchy_builds for r in results] == [1, 1]
+        for r in results:
+            assert np.array_equal(r.u_final, serial.u_final)
+            assert r.iterations == serial.iterations
 
     def test_quadratic_steady_state_reproduced(self):
         """Collocation is exact on quadratics: u = (1+x)^2, f = u_t + Ku = -2,
@@ -153,20 +156,17 @@ class TestMarch:
         rate = np.log2(errs[16] / errs[32])
         assert 3.2 <= rate <= 4.2
 
-    def test_bootstrap_startup_runs(self):
-        cfg = PdModelConfig(N=16, delta=0.25, symmetric=True)
-        problem = pd_manufactured_problem(cfg)
-        tcfg = TransientConfig(tau=1.0 / 16.0, startup="bootstrap",
-                               bootstrap_substeps=8)
-        result = bdf4_march(problem, tcfg)
-        # low-order startup pollutes the fourth-order error but must stay sane
-        assert result.max_error < 1e-2
-        assert result.hierarchy_builds == 4
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TransientConfig(tau=0.5)           # fewer than 4 steps to T = 1
         with pytest.raises(ValueError):
             TransientConfig(tau=0.3)           # not a divisor of T
-        with pytest.raises(ValueError):
-            TransientConfig(tau=0.1, startup="wild-guess")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^tau must be finite"):
+                TransientConfig(tau=bad)
+            with pytest.raises(ValueError, match="^final_time must be finite"):
+                TransientConfig(tau=0.1, final_time=bad)
+        system = assemble_pd_system(PdModelConfig(N=8, delta=0.25, symmetric=True))
+        for bad in (np.nan, np.inf, -0.1):
+            with pytest.raises(ValueError, match="^tau must be finite and nonnegative"):
+                build_step_operator(system, bad)

@@ -13,11 +13,11 @@ from .hierarchy import (Hierarchy, build_hierarchy, coarsen_banded,
                         coarsen_tpc, prolong, restrict)
 from .kernels import (BandedCorrection, ToeplitzSpec, TpcOperator,
                       toeplitz_matvec)
-from .peridynamic import (CollarSamples, PdCoefficients, PdModelConfig,
-                          PdSystem, assemble_pd_system, fold_boundary_rhs,
+from .peridynamic import (PdCoefficients, PdModelConfig, PdSystem,
+                          assemble_pd_system, fold_boundary_rhs,
                           pd_coefficients, pd_exact_forcing, sample_collar)
 from .solver import (SingularSmootherError, SmootherConfig, SolveReport,
-                     jacobi_sweep, solve, tgm_factor_estimate, vcycle)
+                     solve, tgm_factor_estimate, vcycle)
 from .timestepper import (MarchResult, TransientConfig, TransientProblem,
                           bdf4_march, build_step_operator,
                           gamma_manufactured_problem, pd_manufactured_problem)
@@ -32,8 +32,8 @@ __all__ = [
     "gamma_coefficients", "assemble_gamma_system", "gamma_exact_forcing",
     "PdModelConfig", "PdCoefficients", "PdSystem", "pd_coefficients",
     "assemble_pd_system", "fold_boundary_rhs", "sample_collar",
-    "CollarSamples", "pd_exact_forcing",
-    "SmootherConfig", "SolveReport", "SingularSmootherError", "jacobi_sweep",
+    "pd_exact_forcing",
+    "SmootherConfig", "SolveReport", "SingularSmootherError",
     "vcycle", "solve", "tgm_factor_estimate",
     "TransientConfig", "TransientProblem", "MarchResult",
     "build_step_operator", "bdf4_march",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gamma_model import GammaModelConfig, assemble_gamma_system
 from .hierarchy import build_hierarchy
-from .oracle import certify_section4, dense_expand, gamma_dense_reference, pd_dense_reference
+from .oracle import certify_section4, gamma_dense_reference, pd_dense_reference
 from .peridynamic import PdModelConfig, assemble_pd_system
 from .solver import SmootherConfig, vcycle
 from .timestepper import (TransientConfig, bdf4_march, build_step_operator,
@@ -69,8 +69,9 @@ def run_table(model, Ns, gamma=0.0, delta=0.25, tol=1e-15, max_iter=200,
 
     The cpu column is the wall time of the solve phase only (assembly and
     hierarchy construction excluded); the wall column is the whole march,
-    assembly included.  Rows fail soft: a non-convergent solve marks the
-    row and the run continues.
+    assembly included.  Rows fail soft: a non-convergent solve gives the
+    row a nan error and leaves its rate and the next row's rate unset, and
+    the run continues.
     """
     smoother = smoother or SmootherConfig()
     rows = []
@@ -82,18 +83,18 @@ def run_table(model, Ns, gamma=0.0, delta=0.25, tol=1e-15, max_iter=200,
         cfg = TransientConfig(tau=1.0 / N, final_time=1.0)
         result = bdf4_march(problem, cfg, smoother=smoother, tol=tol,
                             max_iter=max_iter, coarsest=coarsest)
-        error = result.max_error
         bad = any(not rep.converged for rep in result.reports)
-        # observed order: error reduction per halving of h
+        error = float("nan") if bad else float(result.max_error)
+        # observed order: error reduction per halving of h, between two
+        # converged rows only
         rate = None
-        if prev_error is not None and N != prev_N:
+        if not bad and prev_error is not None and N != prev_N:
             rate = float(np.log2(prev_error / error) / np.log2(N / prev_N))
-        rows.append(BenchRow(N=N, error=float(error) if not bad else float("nan"),
-                             rate=rate if not bad else None,
+        rows.append(BenchRow(N=N, error=error, rate=rate,
                              cpu=result.solve_time,
                              iter=result.avg_iterations,
                              wall=assembly + result.wall_time))
-        prev_N, prev_error = N, error
+        prev_N, prev_error = N, None if bad else error
     return rows
 
 
@@ -137,10 +138,10 @@ def run_verify(model, N, gamma=0.0, delta=0.25, r=None, seed=0):
     """
     cfg = model_config(model, N, gamma, delta if r is None else r / N)
     if model == "gamma":
-        dense = dense_expand(assemble_gamma_system(cfg).op)
+        dense = assemble_gamma_system(cfg).op.dense()
         ref, _ = gamma_dense_reference(cfg)
     else:
-        dense = dense_expand(assemble_pd_system(cfg).op)
+        dense = assemble_pd_system(cfg).op.dense()
         ref = pd_dense_reference(cfg)
     err = float(np.abs(dense - ref).max())
     passed = err <= 1e-12 * max(1.0, np.abs(ref).max())
@@ -205,11 +206,7 @@ def run_scaling(model, Ns, gamma=0.0, delta=0.25, reps=5, coarsest=7,
         x = rng.standard_normal(op.n)
         op.matvec(x)
         t_fast = _median_time(lambda: op.matvec(x), reps)
-
-        def dense_path():
-            return dense_expand(op) @ x
-
-        t_dense = _median_time(dense_path, reps)
+        t_dense = _median_time(lambda: op.dense() @ x, reps)
         out["dense_compare"] = {"N": dense_compare_N, "fast": t_fast,
                                 "dense": t_dense, "speedup": t_dense / t_fast}
     return out

@@ -21,7 +21,6 @@ from . import gamma_model, peridynamic
 
 __all__ = [
     "restriction_matrix",
-    "dense_expand",
     "dense_galerkin",
     "dense_solve",
     "sym_eig_extremes",
@@ -45,15 +44,6 @@ def restriction_matrix(n):
     for i in range(nc):
         R[i, 2 * i:2 * i + 3] = (0.25, 0.5, 0.25)
     return R
-
-
-def dense_expand(op):
-    """Materialize a TpcOperator: the inverse of the block-to-cross mapping.
-
-    TpcOperator.dense expands the stored coefficients entry by entry and
-    never calls the FFT matvec, so checks of the matvec against it stay
-    independent of the fast kernel."""
-    return op.dense()
 
 
 def dense_galerkin(A):
@@ -145,9 +135,9 @@ def pd_full_domain_operator(cfg):
     """Stencil assembly over interior plus collar nodes.
 
     Returns (A_in, A_out, exterior_x): interior columns in block order,
-    exterior (collar) columns in the order produced by sample_collar
-    (left_v, left_w, right_v, right_w), and the collar coordinates.  Used
-    to validate fold_boundary_rhs by dense elimination.
+    exterior (collar) columns in sample_collar's flat order (left_v,
+    left_w, right_v, right_w), and the collar coordinates.  Used to
+    validate fold_boundary_rhs by dense elimination.
     """
     co = peridynamic.pd_coefficients(cfg.r, cfg.symmetric)
     N, r, h = cfg.N, cfg.r, cfg.h
@@ -252,7 +242,7 @@ def certify_section4(cfg, tgm_trials=4, seed=0):
     from .solver import tgm_factor_estimate
 
     system = peridynamic.assemble_pd_system(cfg)
-    A = dense_expand(system.op)
+    A = system.op.dense()
     n = A.shape[0]
     r = cfg.r
     a0 = float(A[0, 0])

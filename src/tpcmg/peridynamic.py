@@ -30,7 +30,6 @@ __all__ = [
     "pd_coefficients",
     "PdSystem",
     "assemble_pd_system",
-    "CollarSamples",
     "sample_collar",
     "fold_boundary_rhs",
     "pd_exact_forcing",
@@ -209,29 +208,18 @@ def assemble_pd_system(cfg):
     return PdSystem(cfg, op, co)
 
 
-@dataclass
-class CollarSamples:
-    """Boundary data on the node collars outside (0, 1).
-
-    left_v:  g at x_{-r} .. x_0          (r+1 values)
-    left_w:  g at x_{-r+1/2} .. x_{-1/2} (r values)
-    right_v: g at x_N .. x_{N+r}         (r+1 values)
-    right_w: g at x_{N+1/2} .. x_{N+r-1/2} (r values)
-    """
-
-    left_v: np.ndarray
-    left_w: np.ndarray
-    right_v: np.ndarray
-    right_w: np.ndarray
-
-
 def sample_collar(cfg, g):
     """Evaluate g on the collar nodes of cfg with one array call.
 
-    g receives a 1-D float array of the 4r+2 collar coordinates (left_v,
-    left_w, right_v, right_w in that order) and must return an array of
-    that shape, or anything that broadcasts to it (a scalar constant does);
-    other shapes raise ValueError.
+    g receives a 1-D float array of the 4r+2 collar coordinates and must
+    return an array of that shape, or anything that broadcasts to it (a
+    scalar constant does); other shapes raise ValueError.  The result is
+    flat, in the order of the coordinates:
+
+    left_v:  x_{-r} .. x_0                (r+1 values)
+    left_w:  x_{-r+1/2} .. x_{-1/2}       (r values)
+    right_v: x_N .. x_{N+r}               (r+1 values)
+    right_w: x_{N+1/2} .. x_{N+r-1/2}     (r values)
     """
     h, N, r = cfg.h, cfg.N, cfg.r
     xs = np.concatenate([
@@ -247,16 +235,15 @@ def sample_collar(cfg, g):
     except ValueError:
         raise ValueError(f"g must return shape {xs.shape} or a value that "
                          f"broadcasts to it, got shape {gx.shape}") from None
-    left_v, left_w, right_v, right_w = np.split(vals, [r + 1, 2 * r + 1, 3 * r + 2])
-    return CollarSamples(left_v=left_v, left_w=left_w,
-                         right_v=right_v, right_w=right_w)
+    return vals
 
 
 def fold_boundary_rhs(system, F, collar):
     """Fold the collar data into the right-hand side F, returned as a new
     array (F is not written).
 
-    The first/last r entries of F^v and the first/last r+1 entries of F^w
+    collar is the flat array of 4r+2 values in sample_collar's order.  The
+    first/last r entries of F^v and the first/last r+1 entries of F^w
     receive the exterior-stencil sums; the result keeps forcing units, so
     op @ U = eta_h * F_folded reproduces constants exactly (validated
     against dense elimination of the full-domain operator in the tests).
@@ -268,10 +255,11 @@ def fold_boundary_rhs(system, F, collar):
     """
     cfg = system.cfg
     N, r, eta = cfg.N, cfg.r, system.scale
-    lv, lw = np.asarray(collar.left_v, float), np.asarray(collar.left_w, float)
-    rv, rw = np.asarray(collar.right_v, float), np.asarray(collar.right_w, float)
-    if lv.shape != (r + 1,) or rv.shape != (r + 1,) or lw.shape != (r,) or rw.shape != (r,):
-        raise ValueError("collar sample lengths do not match the mesh ratio r")
+    collar = np.asarray(collar, dtype=float)
+    if collar.shape != (4 * r + 2,):
+        raise ValueError(f"collar must have length 4r+2 = {4 * r + 2}, "
+                         f"got shape {collar.shape}")
+    lv, lw, rv, rw = np.split(collar, [r + 1, 2 * r + 1, 3 * r + 2])
 
     data = np.array(F, dtype=float)
     if data.shape != (2 * N - 1,):

@@ -28,7 +28,6 @@ __all__ = [
     "SmootherConfig",
     "SolveReport",
     "SingularSmootherError",
-    "jacobi_sweep",
     "vcycle",
     "solve",
     "tgm_factor_estimate",
@@ -114,14 +113,6 @@ def _inv_diag(op):
     if np.any(d == 0.0):
         raise SingularSmootherError("zero diagonal entry in smoother")
     return 1.0 / d
-
-
-def jacobi_sweep(op, x, b, omega):
-    """One damped-Jacobi sweep x + omega * D^{-1} (b - op x), in a new
-    array; x and b are not written."""
-    out = np.array(x, dtype=float)
-    _smooth(op, out, _rhs_array(op.n, b), _inv_diag(op), omega)
-    return out
 
 
 @dataclass

@@ -28,7 +28,7 @@ import numpy as np
 
 from .gamma_model import assemble_gamma_system, gamma_exact_forcing
 from .hierarchy import build_hierarchy
-from .peridynamic import (CollarSamples, assemble_pd_system, fold_boundary_rhs,
+from .peridynamic import (assemble_pd_system, fold_boundary_rhs,
                           pd_exact_forcing, sample_collar)
 from .solver import SmootherConfig, solve
 
@@ -173,8 +173,6 @@ def pd_manufactured_problem(model_cfg):
                       sample_collar(model_cfg, lambda x: (1.0 + x) ** 6))
         forcing0, collar0 = cached
         e = np.exp(t)
-        collar = CollarSamples(left_v=e * collar0.left_v, left_w=e * collar0.left_w,
-                               right_v=e * collar0.right_v, right_w=e * collar0.right_w)
-        return fold_boundary_rhs(system, e * forcing0, collar)
+        return fold_boundary_rhs(system, e * forcing0, e * collar0)
 
     return TransientProblem(system, rhs, exact=exact)

@@ -15,7 +15,7 @@ from tpcmg import (PdModelConfig, ToeplitzSpec, TpcOperator,
                    assemble_pd_system, build_hierarchy, coarsen_banded,
                    coarsen_tpc, tgm_factor_estimate, toeplitz_matvec)
 from tpcmg.bench import run_scaling, run_table
-from tpcmg.oracle import certify_section4, dense_expand, dense_galerkin
+from tpcmg.oracle import certify_section4, dense_galerkin
 from tpcmg.timestepper import build_step_operator
 
 from conftest import dense_toeplitz, random_tpc
@@ -62,7 +62,7 @@ def test_criterion_1_example_reproduction():
     t0 = time.perf_counter()
     coarse = coarsen_tpc(fine)
     elapsed = time.perf_counter() - t0
-    err = np.abs(8.0 * dense_expand(coarse) - EXAMPLE_COARSE_X8).max()
+    err = np.abs(8.0 * coarse.dense() - EXAMPLE_COARSE_X8).max()
     _report(1, err <= 1e-14 and elapsed < 1e-3,
             f"worked example coarse matrix: max err x8 = {err:.2e}, "
             f"coarsen time = {elapsed * 1e6:.0f} us")
@@ -74,8 +74,8 @@ def test_criterion_2_closed_form_equals_dense_galerkin(rng):
     for m in (7, 15, 31, 63):
         for trial in range(50):
             fine = random_tpc(rng, m, symmetric=(trial % 2 == 0))
-            fast = dense_expand(coarsen_tpc(fine))
-            truth = dense_galerkin(dense_expand(fine))
+            fast = coarsen_tpc(fine).dense()
+            truth = dense_galerkin(fine.dense())
             worst = max(worst, float(np.abs(fast - truth).max()))
     elapsed = time.perf_counter() - t0
     _report(2, worst <= 1e-12 and elapsed < 10.0,
@@ -103,7 +103,7 @@ def test_criterion_3_fft_equals_dense(rng):
         scale = 1.0 / (1.0 + m)
         op = op.scale_shift(scale, 0.0)
         x = rng.uniform(-1, 1, op.n)
-        worst = max(worst, float(np.abs(op.matvec(x) - dense_expand(op) @ x).max()))
+        worst = max(worst, float(np.abs(op.matvec(x) - op.dense() @ x).max()))
         trials += 1
     elapsed = time.perf_counter() - t0
     _report(3, worst <= 1e-11 and elapsed < 30.0,

@@ -109,6 +109,16 @@ class TestCli:
         assert out.splitlines()[0] == "N,error,rate,cpu,iter"
         assert len(out.splitlines()) == 3
 
+    def test_table_csv_no_rate_after_failed_row(self, capsys):
+        """8 cycles are too few at N = 32: that row fails, so N = 64 has
+        no previous error to take an order against."""
+        code = main(["table", "--model", "pd-sym", "--N", "32", "--N", "64",
+                     "--max-iter", "8", "--out", "csv"])
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert code == 1
+        assert [row[:3] for row in rows] == [["32", "nan", ""],
+                                             ["64", "7.383956e-07", ""]]
+
     def test_table_pretty_has_wall_column(self, capsys):
         code = main(["table", "--model", "pd-sym", "--N", "16", "--delta", "0.25"])
         header = capsys.readouterr().out.splitlines()[0]

@@ -3,7 +3,7 @@ import pytest
 import scipy.integrate as integrate
 
 from tpcmg import GammaModelConfig, assemble_gamma_system, gamma_coefficients, gamma_exact_forcing
-from tpcmg.oracle import dense_expand, gamma_dense_reference, gamma_forcing_quadrature
+from tpcmg.oracle import gamma_dense_reference, gamma_forcing_quadrature
 
 
 class TestCoefficients:
@@ -108,7 +108,7 @@ class TestAssembly:
         cfg = GammaModelConfig(N=N, gamma=g)
         system = assemble_gamma_system(cfg)
         ref, scale = gamma_dense_reference(cfg)
-        assert np.abs(dense_expand(system.op) - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(system.op.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
         assert system.scale == pytest.approx(scale)
 
     @pytest.mark.parametrize("N", [4, 8, 16])

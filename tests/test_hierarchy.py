@@ -1,4 +1,4 @@
-import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
                    ToeplitzSpec, TpcOperator, assemble_gamma_system,
                    assemble_pd_system, build_hierarchy, coarsen_banded,
                    coarsen_tpc, prolong, restrict)
-from tpcmg.oracle import dense_expand, dense_galerkin, restriction_matrix, sym_eig_extremes
+from tpcmg.oracle import dense_galerkin, restriction_matrix, sym_eig_extremes
 
 from conftest import random_tpc
 
@@ -96,7 +96,7 @@ class TestTransfer:
 class TestCoarsenTpc:
     def test_example_reproduction(self):
         coarse = coarsen_tpc(example_fine_operator())
-        assert np.abs(8.0 * dense_expand(coarse) - EXAMPLE_COARSE_X8).max() <= 1e-14
+        assert np.abs(8.0 * coarse.dense() - EXAMPLE_COARSE_X8).max() <= 1e-14
 
     def test_zero_operator(self):
         m = 7
@@ -104,7 +104,7 @@ class TestCoarsenTpc:
         fine = TpcOperator(z, z, z, z, np.zeros(m), np.zeros(m), np.zeros(m),
                            np.zeros(m), 0.0, symmetric=True)
         coarse = coarsen_tpc(fine)
-        assert np.abs(dense_expand(coarse)).max() == 0.0
+        assert np.abs(coarse.dense()).max() == 0.0
 
     @pytest.mark.parametrize("m", [7, 15, 31])
     @pytest.mark.parametrize("symmetric", [False, True])
@@ -112,8 +112,8 @@ class TestCoarsenTpc:
         for _ in range(12):
             fine = random_tpc(rng, m, symmetric=symmetric)
             coarse = coarsen_tpc(fine)
-            truth = dense_galerkin(dense_expand(fine))
-            assert np.abs(dense_expand(coarse) - truth).max() <= 1e-12
+            truth = dense_galerkin(fine.dense())
+            assert np.abs(coarse.dense() - truth).max() <= 1e-12
             assert coarse.symmetric == symmetric
 
     def test_too_small(self, rng):
@@ -153,8 +153,8 @@ class TestCoarsenRandomised:
         m = 2 ** k - 1
         fine = (_windowed_tpc if short else random_tpc)(rng, m, symmetric=symmetric)
         coarse = coarsen_tpc(fine)
-        truth = dense_galerkin(dense_expand(fine))
-        assert np.abs(dense_expand(coarse) - truth).max() <= 1e-12
+        truth = dense_galerkin(fine.dense())
+        assert np.abs(coarse.dense() - truth).max() <= 1e-12
         assert coarse.symmetric == symmetric
 
     @settings(max_examples=60, deadline=None)
@@ -198,7 +198,7 @@ class TestBuildHierarchy:
         finest = random_tpc(rng, 15, symmetric=True)
         hier = build_hierarchy(finest)
         for op in hier.levels:
-            dense = dense_expand(op)
+            dense = op.dense()
             assert np.abs(dense - dense.T).max() <= 1e-12
             assert op.symmetric
 
@@ -207,8 +207,8 @@ class TestBuildHierarchy:
         finest = random_tpc(rng, 127, banded_bw=0)
         hier = build_hierarchy(finest)
         for fine, coarse in zip(hier.levels, hier.levels[1:]):
-            truth = dense_galerkin(dense_expand(fine))
-            assert np.abs(dense_expand(coarse) - truth).max() <= 1e-11
+            truth = dense_galerkin(fine.dense())
+            assert np.abs(coarse.dense() - truth).max() <= 1e-11
 
     def test_gamma_banded_bandwidth(self):
         system = assemble_gamma_system(GammaModelConfig(N=16, gamma=0.5))
@@ -221,7 +221,7 @@ class TestBuildHierarchy:
         system = assemble_pd_system(PdModelConfig(N=32, delta=0.25, symmetric=True))
         hier = build_hierarchy(system.op)
         for op in hier.levels:
-            lam_min, _ = sym_eig_extremes(dense_expand(op))
+            lam_min, _ = sym_eig_extremes(op.dense())
             assert lam_min > 0.0
 
     def test_storage_bound(self):
@@ -244,16 +244,11 @@ class TestBuildHierarchy:
                          ToeplitzSpec.zero(m), ToeplitzSpec.identity(m),
                          np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m), 1.0,
                          banded=BandedCorrection(n, {0: np.full(n, 1e308)}))
-        with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match=r"n = 7 has non-finite entries"):
-            build_hierarchy(op)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no overflow warning first
+            with pytest.raises(ValueError, match=r"n = 7 has non-finite entries"):
+                build_hierarchy(op)
 
     def test_bad_finest_size(self, rng):
         with pytest.raises(ValueError):
             build_hierarchy(random_tpc(rng, 6))
-
-    def test_describe_json_round_trip(self, rng):
-        hier = build_hierarchy(random_tpc(rng, 7))
-        levels = json.loads(json.dumps(hier.describe()))
-        assert [entry["n"] for entry in levels] == [15, 7]
-        assert {"A", "Bbar", "Cbar", "Dbar", "p", "q", "xi", "zeta", "o"} <= set(levels[0])

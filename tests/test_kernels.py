@@ -12,7 +12,6 @@ from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
                    assemble_pd_system, build_hierarchy, build_step_operator,
                    toeplitz_matvec)
 from tpcmg import kernels
-from tpcmg.oracle import dense_expand
 
 from conftest import dense_toeplitz, random_tpc
 
@@ -106,13 +105,13 @@ class TestTpcOperator:
             np.ones(m), np.ones(m), np.zeros(m), np.zeros(m), 1.0)
         e = np.zeros(op.n)
         e[m] = 1.0
-        assert np.allclose(op.matvec(e), dense_expand(op)[:, m])
+        assert np.allclose(op.matvec(e), op.dense()[:, m])
 
     def test_random_vs_dense_with_banded(self, rng):
         m = 63
         op = random_tpc(rng, m, symmetric=True, banded_bw=1)
         x = rng.standard_normal(op.n)
-        ref = dense_expand(op) @ x
+        ref = op.dense() @ x
         assert np.abs(op.matvec(x) - ref).max() <= 1e-11 * (1 + np.abs(ref).max())
 
     def test_linearity(self, rng):
@@ -132,9 +131,9 @@ class TestTpcOperator:
     def test_scale_shift(self, rng):
         op = random_tpc(rng, 9, symmetric=True, banded_bw=0)
         shifted = op.scale_shift(0.25, 2.0)
-        dense = dense_expand(op)
+        dense = op.dense()
         ref = 2.0 * np.eye(op.n) + 0.25 * dense
-        assert np.abs(dense_expand(shifted) - ref).max() < 1e-13
+        assert np.abs(shifted.dense() - ref).max() < 1e-13
         assert shifted.symmetric
 
     def test_size_mismatch(self, rng):
@@ -167,7 +166,7 @@ class TestTpcOperator:
         monkeypatch.setattr(kernels, "_BATCH_MAX_LENGTH", 0)
         op = random_tpc(rng, m, symmetric=symmetric, banded_bw=1)
         x = rng.standard_normal(op.n)
-        dense = dense_expand(op)
+        dense = op.dense()
         ref = dense @ x
         scale = 1.0 + np.abs(x).max() * np.abs(dense).sum(axis=1).max()
         assert np.abs(op.matvec(x) - ref).max() <= 1e-11 * scale
@@ -205,7 +204,7 @@ def _windowed_spec(rng, m, short, sym=False):
 
 
 def _assert_matches_dense(op, x, dense=None):
-    dense = dense_expand(op) if dense is None else dense
+    dense = op.dense() if dense is None else dense
     ref = dense @ x
     scale = 1.0 + np.abs(x).max() * np.abs(dense).sum(axis=1).max()
     assert np.abs(op.matvec(x) - ref).max() <= 1e-11 * scale

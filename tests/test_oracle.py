@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tpcmg import PdModelConfig, coarsen_banded, coarsen_tpc
-from tpcmg.oracle import (certify_section4, dense_expand, dense_galerkin,
-                          dense_solve, sym_eig_extremes)
+from tpcmg.oracle import (certify_section4, dense_galerkin, dense_solve,
+                          sym_eig_extremes)
 
 from conftest import random_tpc
 
@@ -11,11 +11,11 @@ from conftest import random_tpc
 class TestDenseExpand:
     def test_identity(self):
         from tpcmg import TpcOperator
-        assert np.array_equal(dense_expand(TpcOperator.identity(4)), np.eye(9))
+        assert np.array_equal(TpcOperator.identity(4).dense(), np.eye(9))
 
     def test_matvec_round_trip(self, rng):
         op = random_tpc(rng, 12, banded_bw=1)
-        dense = dense_expand(op)
+        dense = op.dense()
         x = rng.standard_normal(op.n)
         assert np.abs(op.matvec(x) - dense @ x).max() <= 1e-12 * (1 + np.abs(dense @ x).max())
 
@@ -31,13 +31,13 @@ class TestDenseGalerkin:
     def test_cross_checks_fast_coarsening(self, rng):
         """The module's raison d'etre: dense R A P vs the closed forms."""
         op = random_tpc(rng, 7, banded_bw=1)
-        fast = dense_expand(coarsen_tpc(op.without_banded())) + coarsen_banded(op.banded).dense()
-        assert np.abs(fast - dense_galerkin(dense_expand(op))).max() <= 1e-12
+        fast = coarsen_tpc(op.without_banded()).dense() + coarsen_banded(op.banded).dense()
+        assert np.abs(fast - dense_galerkin(op.dense())).max() <= 1e-12
 
     def test_double_coarsening_commutes(self, rng):
         op = random_tpc(rng, 15)
-        twice_fast = dense_expand(coarsen_tpc(coarsen_tpc(op)))
-        twice_dense = dense_galerkin(dense_galerkin(dense_expand(op)))
+        twice_fast = coarsen_tpc(coarsen_tpc(op)).dense()
+        twice_dense = dense_galerkin(dense_galerkin(op.dense()))
         assert np.abs(twice_fast - twice_dense).max() <= 1e-11
 
     def test_parity_error(self):

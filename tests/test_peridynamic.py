@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from tpcmg import (PdModelConfig, assemble_pd_system,
                    fold_boundary_rhs, pd_coefficients, pd_exact_forcing,
                    sample_collar)
-from tpcmg.oracle import (dense_expand, pd_dense_reference,
-                          pd_forcing_quadrature, pd_full_domain_operator,
-                          sym_eig_extremes)
+from tpcmg.oracle import (pd_dense_reference, pd_forcing_quadrature,
+                          pd_full_domain_operator, sym_eig_extremes)
 
 
 class TestCoefficients:
@@ -62,12 +61,12 @@ class TestAssembly:
     def test_symmetric_row_one(self):
         system = assemble_pd_system(PdModelConfig(N=4, delta=0.25, symmetric=True))
         assert system.cfg.r == 1
-        dense = dense_expand(system.op)
+        dense = system.op.dense()
         assert dense[0].tolist() == [10.0, -1.0, 0.0, -4.0, -4.0, 0.0, 0.0]
 
     def test_symmetric_is_exactly_symmetric(self):
         system = assemble_pd_system(PdModelConfig(N=16, delta=0.25, symmetric=True))
-        dense = dense_expand(system.op)
+        dense = system.op.dense()
         assert np.abs(dense - dense.T).max() == 0.0
 
     def test_nonsym_cross_entries(self):
@@ -84,24 +83,24 @@ class TestAssembly:
         assert cfg.r == r
         system = assemble_pd_system(cfg)
         ref = pd_dense_reference(cfg)
-        assert np.abs(dense_expand(system.op) - ref).max() <= 1e-12
+        assert np.abs(system.op.dense() - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_matches_full_domain_stencil(self, symmetric):
         cfg = PdModelConfig(N=16, delta=0.25, symmetric=symmetric)
         interior, _, _ = pd_full_domain_operator(cfg)
         system = assemble_pd_system(cfg)
-        assert np.abs(dense_expand(system.op) - interior).max() <= 1e-12
+        assert np.abs(system.op.dense() - interior).max() <= 1e-12
 
     def test_spd(self):
         for (N, r) in ((16, 1), (32, 3), (64, 8)):
             cfg = PdModelConfig(N=N, delta=r / N, symmetric=True)
-            lam_min, _ = sym_eig_extremes(dense_expand(assemble_pd_system(cfg).op))
+            lam_min, _ = sym_eig_extremes(assemble_pd_system(cfg).op.dense())
             assert lam_min > 0.0
 
     def test_weak_dominance_zero_interior_rows(self):
         cfg = PdModelConfig(N=32, delta=4.0 / 32.0, symmetric=True)
-        dense = dense_expand(assemble_pd_system(cfg).op)
+        dense = assemble_pd_system(cfg).op.dense()
         rows = dense.sum(axis=1)
         assert rows.min() >= -1e-12
         r, N = cfg.r, cfg.N
@@ -113,7 +112,7 @@ class TestAssembly:
         # lambda_max(D^{-1} A) in [1, 2] for the SPD variant
         for (N, r) in ((16, 1), (32, 2), (64, 5)):
             cfg = PdModelConfig(N=N, delta=r / N, symmetric=True)
-            A = dense_expand(assemble_pd_system(cfg).op)
+            A = assemble_pd_system(cfg).op.dense()
             d = np.diag(A)
             G = A / np.sqrt(np.outer(d, d))
             _, lam_max = sym_eig_extremes(0.5 * (G + G.T))
@@ -168,13 +167,13 @@ class TestFolding:
         truth = F - (exterior @ gvec) / system.scale
         assert np.abs(folded - truth).max() <= 1e-12 * (1 + np.abs(truth).max())
 
-    def test_collar_length_validation(self, rng):
+    def test_collar_length_validation(self):
         cfg = PdModelConfig(N=8, delta=0.25, symmetric=True)
         system = assemble_pd_system(cfg)
         collar = sample_collar(cfg, lambda x: 1.0)
-        collar.left_v = collar.left_v[:-1]
-        with pytest.raises(ValueError):
-            fold_boundary_rhs(system, np.zeros(15), collar)
+        for bad in (collar[:-1], np.append(collar, 1.0), collar[None, :]):
+            with pytest.raises(ValueError, match=r"collar must have length 4r\+2"):
+                fold_boundary_rhs(system, np.zeros(15), bad)
 
 
 class TestCollar:
@@ -185,15 +184,14 @@ class TestCollar:
         assert len(calls) == 1
         _, _, ext_x = pd_full_domain_operator(cfg)
         np.testing.assert_allclose(calls[0], ext_x, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(collar.left_v, 2.0 * ext_x[:cfg.r + 1])
+        # flat, in the order of the full-domain operator's exterior columns
+        assert collar.shape == (4 * cfg.r + 2,)
+        assert np.array_equal(collar, 2.0 * calls[0])
 
     def test_scalar_result_broadcasts(self):
         cfg = PdModelConfig(N=8, delta=0.25, symmetric=True)
         collar = sample_collar(cfg, lambda x: 1.5)
-        r = cfg.r
-        for name, size in (("left_v", r + 1), ("left_w", r),
-                           ("right_v", r + 1), ("right_w", r)):
-            assert np.array_equal(getattr(collar, name), np.full(size, 1.5))
+        assert np.array_equal(collar, np.full(4 * cfg.r + 2, 1.5))
 
     def test_wrong_shape_rejected(self):
         cfg = PdModelConfig(N=8, delta=0.25, symmetric=True)

@@ -5,8 +5,8 @@ import scipy.linalg as sla
 from tpcmg import (GammaModelConfig, Hierarchy, PdModelConfig,
                    SmootherConfig, TpcOperator, assemble_gamma_system,
                    assemble_pd_system, build_hierarchy, build_step_operator,
-                   jacobi_sweep, solve, tgm_factor_estimate, vcycle)
-from tpcmg.oracle import dense_expand, restriction_matrix
+                   solve, tgm_factor_estimate, vcycle)
+from tpcmg.oracle import restriction_matrix
 from tpcmg import solver
 from tpcmg.solver import SingularSmootherError
 
@@ -25,7 +25,7 @@ def dense_vcycle(levels, cfg):
     """Dense matrix of one V(m1, m2) cycle from the zero guess, built
     recursively from the dense levels, R, P = 2 R^T and a dense solve at
     the coarsest level."""
-    A = dense_expand(levels[0])
+    A = levels[0].dense()
     n = A.shape[0]
     if len(levels) == 1:
         return np.linalg.solve(A, np.eye(n))
@@ -69,48 +69,6 @@ class TestSmootherConfig:
         SmootherConfig(m1=1, m2=0)
 
 
-class TestJacobi:
-    def test_identity_one_sweep(self, rng):
-        op = TpcOperator.identity(5)
-        b = rng.standard_normal(11)
-        x = jacobi_sweep(op, np.zeros(11), b, omega=1.0)
-        assert np.allclose(x, b)
-
-    def test_two_identity(self):
-        op = TpcOperator.identity(5).scale_shift(2.0, 0.0)
-        x = jacobi_sweep(op, np.zeros(11), np.ones(11), omega=1.0)
-        assert np.allclose(x, 0.5)
-
-    def test_error_anorm_non_increasing(self, rng):
-        _, op = spd_hierarchy(16, 2)
-        A = dense_expand(op)
-        b = rng.standard_normal(op.n)
-        x_star = np.linalg.solve(A, b)
-        x = np.zeros(op.n)
-        prev = None
-        for _ in range(10):
-            x = jacobi_sweep(op, x, b, omega=0.5)
-            e = x - x_star
-            anorm = e @ A @ e
-            if prev is not None:
-                assert anorm <= prev * (1 + 1e-12)
-            prev = anorm
-
-    def test_zero_diagonal_raises(self, rng):
-        op = TpcOperator.identity(5).scale_shift(0.0, 0.0)
-        with pytest.raises(SingularSmootherError):
-            jacobi_sweep(op, np.zeros(11), np.ones(11), 1.0)
-
-    def test_rhs_checked(self):
-        op = TpcOperator.identity(5)
-        with pytest.raises(ValueError, match="b must have length 11"):
-            jacobi_sweep(op, np.zeros(11), np.ones(1), 1.0)
-        b = np.ones(11)
-        b[3] = np.nan
-        with pytest.raises(ValueError, match="b has non-finite"):
-            jacobi_sweep(op, np.zeros(11), b, 1.0)
-
-
 class TestVcycle:
     def test_identity_hierarchy_solves(self, rng):
         hier = build_hierarchy(TpcOperator.identity(7))
@@ -121,11 +79,11 @@ class TestVcycle:
         """One cycle equals the dense S_post (I - P Ac^{-1} R A) S_pre step."""
         hier, op = spd_hierarchy(8, 2)
         two = Hierarchy(hier.levels[:2])
-        A = dense_expand(op)
+        A = op.dense()
         n = op.n
         R = restriction_matrix(n)
         P = 2.0 * R.T
-        Ac = dense_expand(two.levels[1])
+        Ac = two.levels[1].dense()
         D = np.diag(A)
         Spre = np.eye(n) - 1.0 * (A / D[:, None])
         Spost = np.eye(n) - 0.5 * (A / D[:, None])
@@ -175,7 +133,7 @@ class TestVcycle:
     def test_contraction_bound_two_level(self, rng):
         hier, op = spd_hierarchy(8, 1)
         two = Hierarchy(hier.levels[:2])
-        A = dense_expand(op)
+        A = op.dense()
         x_star = rng.standard_normal(op.n)
         b = A @ x_star
         e = x_star - vcycle(two, b)
@@ -212,6 +170,14 @@ class TestSolve:
             solve(hier, b)
         with pytest.raises(ValueError, match="b has non-finite"):
             vcycle(hier, b)
+
+    @pytest.mark.parametrize("shape", [(14,), (16,), (1, 15)])
+    def test_wrong_length_rhs_rejected(self, shape):
+        hier, _ = spd_hierarchy(8, 1)
+        with pytest.raises(ValueError, match="b must have length 15"):
+            solve(hier, np.ones(shape))
+        with pytest.raises(ValueError, match="b must have length 15"):
+            vcycle(hier, np.ones(shape))
 
     @pytest.mark.parametrize("kwargs,name", [({"tol": 0.0}, "tol"), ({"tol": -1e-15}, "tol"),
                                              ({"tol": np.nan}, "tol"),
@@ -315,11 +281,11 @@ class TestTgmFactor:
     def test_matches_dense_spectral_radius(self):
         hier, op = spd_hierarchy(16, 2)
         two = Hierarchy(hier.levels[:2])
-        A = dense_expand(op)
+        A = op.dense()
         n = op.n
         R = restriction_matrix(n)
         P = 2.0 * R.T
-        Ac = dense_expand(two.levels[1])
+        Ac = two.levels[1].dense()
         D = np.diag(A)
         T = np.eye(n) - P @ np.linalg.solve(Ac, R @ A)
         E = (np.eye(n) - 0.5 * (A / D[:, None])) @ T @ (np.eye(n) - 1.0 * (A / D[:, None]))

@@ -9,20 +9,20 @@ from tpcmg import (GammaModelConfig, PdModelConfig, TransientConfig,
                    gamma_exact_forcing, gamma_manufactured_problem,
                    pd_exact_forcing, pd_manufactured_problem, sample_collar,
                    timestepper)
-from tpcmg.oracle import dense_expand, gamma_dense_reference, sym_eig_extremes
+from tpcmg.oracle import gamma_dense_reference, sym_eig_extremes
 
 
 class TestStepOperator:
     def test_tau_zero_is_scaled_identity(self):
         system = assemble_pd_system(PdModelConfig(N=8, delta=0.25, symmetric=True))
         op = build_step_operator(system, 0.0)
-        assert np.abs(dense_expand(op) - (25.0 / 12.0) * np.eye(15)).max() == 0.0
+        assert np.abs(op.dense() - (25.0 / 12.0) * np.eye(15)).max() == 0.0
 
     def test_spd_shift(self):
         system = assemble_pd_system(PdModelConfig(N=16, delta=0.25, symmetric=True))
         op = build_step_operator(system, 1.0 / 16.0)
         assert op.symmetric
-        lam_min, _ = sym_eig_extremes(dense_expand(op))
+        lam_min, _ = sym_eig_extremes(op.dense())
         assert lam_min > 25.0 / 12.0 - 1e-12
 
     def test_gamma_dense_match(self):
@@ -31,7 +31,7 @@ class TestStepOperator:
         op = build_step_operator(system, 1.0 / 8.0)
         ref_A, scale = gamma_dense_reference(cfg)
         ref = (25.0 / 12.0) * np.eye(15) + (1.0 / 8.0 / scale) * ref_A
-        assert np.abs(dense_expand(op) - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(op.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 TIMES = (0.0, 0.125, 0.37, 1.0, 2.5)

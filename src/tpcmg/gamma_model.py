@@ -170,8 +170,8 @@ def assemble_gamma_system(cfg):
     m = N - 1
 
     sym_full = lambda half: np.concatenate([half[:0:-1], half])
-    A = ToeplitzSpec(m, -sym_full(co.m), symmetric=True)
-    Dbar = ToeplitzSpec(m, -sym_full(co.n[:m]), symmetric=True)
+    A = ToeplitzSpec(m, -sym_full(co.m))
+    Dbar = ToeplitzSpec(m, -sym_full(co.n[:m]))
 
     # Q = toeplitz([q_0..q_{N-2}], [q_0, q_0, q_1, ..]): column p, block Bbar
     bbar = np.concatenate([co.q[m - 2::-1], co.q[:m]])   # b_l = q_l (l>=0), q_{-l-1} (l<0)

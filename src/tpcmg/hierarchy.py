@@ -125,9 +125,10 @@ def coarsen_tpc(fine):
     pc = _coarse_cross_column(fa, fb, fine.p, m, mc)
     xic = _coarse_cross_column(fc, fd, fine.xi, m, mc)
     if fine.symmetric:
-        # exact symmetry: A and D from their mirrored l >= 0 halves
-        A, D = (ToeplitzSpec(mc, _mirror(_coarsen_sequence(f, m, mc)[mc - 1:]),
-                             symmetric=True) for f in (fa, fd))
+        # the five-point sum is not order-symmetric: building A and D from
+        # their mirrored l >= 0 halves keeps the coarse level exactly symmetric
+        A, D = (ToeplitzSpec(mc, _mirror(_coarsen_sequence(f, m, mc)[mc - 1:]))
+                for f in (fa, fd))
         C = B.transpose()
         qc, zetac = pc, xic
     else:
@@ -141,8 +142,7 @@ def coarsen_tpc(fine):
           + 2.0 * (fine.q[m - 1] + 2.0 * fine.o + fine.zeta[0])
           + (fc[2 * m - 2] + 2.0 * fine.xi[0] + fd[m - 1])) / 8.0
 
-    return TpcOperator(A, B, C, D, pc, qc, xic, zetac, oc,
-                       symmetric=fine.symmetric)
+    return TpcOperator(A, B, C, D, pc, qc, xic, zetac, oc)
 
 
 def coarsen_banded(fine):

@@ -100,7 +100,7 @@ def _embedding_column(spec, length):
     lo, data = spec.lo, spec.data
     split = min(max(1 - lo, 0), data.size)        # data[:split]: offsets <= 0
     col[1 - lo - split:1 - lo] = data[:split][::-1]
-    hi = lo + data.size - 1                       # data[split:]: offsets >= 1
+    hi = spec.hi                                  # data[split:]: offsets >= 1
     col[length - hi:length - lo - split + 1] = data[split:][::-1]
     return col
 
@@ -111,19 +111,18 @@ class ToeplitzSpec:
     Entry (i, j) equals ``t[j - i]``; offsets run over [-(m-1), m-1].  Only
     the nonzero window of the sequence is kept (coarse-level operators of
     the banded models have short supports), and the FFT of the embedding
-    circulant's first column is cached lazily for matvecs.
+    circulant's first column is cached lazily for matvecs.  No symmetry is
+    declared here: an operator built from these blocks reads it from the
+    windows.
     """
 
-    def __init__(self, m, coeffs, symmetric=False):
+    def __init__(self, m, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
         if m < 1:
             raise ValueError("m must be positive")
         if coeffs.shape != (2 * m - 1,):
             raise ValueError(f"coeffs must have length 2m-1={2 * m - 1}, got {coeffs.shape}")
-        if symmetric and not np.array_equal(coeffs, coeffs[::-1]):
-            raise ValueError("symmetric flag set but t_l != t_{-l}")
         self.m = int(m)
-        self.symmetric = bool(symmetric)
         # the window ends by argmax on a mask: no index array for dense windows
         nz = coeffs != 0.0
         if not nz.any():
@@ -134,16 +133,6 @@ class ToeplitzSpec:
             self.lo = first - (m - 1)
             self.data = coeffs[first:last + 1].copy()
         self._symbol = None
-
-    @classmethod
-    def identity(cls, m):
-        c = np.zeros(2 * m - 1)
-        c[m - 1] = 1.0
-        return cls(m, c, symmetric=True)
-
-    @classmethod
-    def zero(cls, m):
-        return cls(m, np.zeros(2 * m - 1), symmetric=True)
 
     @property
     def coeffs(self):
@@ -158,9 +147,14 @@ class ToeplitzSpec:
         return self.data.size
 
     @property
+    def hi(self):
+        """Largest stored offset."""
+        return self.lo + self.data.size - 1
+
+    @property
     def reach(self):
         """Largest stored |offset|; 0 for a diagonal or zero matrix."""
-        return max(-self.lo, self.lo + self.data.size - 1, 0)
+        return max(-self.lo, self.hi, 0)
 
     def coeff(self, l):
         """Coefficient t_l; out-of-window offsets read as zero."""
@@ -170,13 +164,11 @@ class ToeplitzSpec:
         return 0.0
 
     def transpose(self):
-        full = self.coeffs[::-1]
-        return ToeplitzSpec(self.m, full, symmetric=self.symmetric)
+        return ToeplitzSpec(self.m, self.coeffs[::-1])
 
     def scaled(self, s):
         out = ToeplitzSpec.__new__(ToeplitzSpec)
         out.m = self.m
-        out.symmetric = self.symmetric
         out.lo = self.lo
         out.data = self.data * s
         out._symbol = None
@@ -264,10 +256,10 @@ class BandedCorrection:
         return out
 
     def is_symmetric(self):
-        return all(
-            -l in self.bands and np.array_equal(self.bands[l], self.bands[-l])
-            for l in self.bands if l > 0
-        ) and all(-l in self.bands for l in self.bands if l < 0)
+        """Whether every band equals its mirror (a missing band reads as
+        unequal: zero bands are never stored)."""
+        return all(np.array_equal(band, self.bands.get(-l))
+                   for l, band in self.bands.items())
 
 
 class TpcOperator:
@@ -280,13 +272,16 @@ class TpcOperator:
         [ Cbar   xi  Dbar ]
 
     with A, Bbar, Cbar, Dbar square Toeplitz blocks of size m, the cross
-    row/column through index m+1, plus an optional banded correction.  The
-    symmetric flag asserts A, Dbar symmetric, Cbar = Bbar^T, q = p,
-    zeta = xi and a symmetric banded part.
+    row/column through index m+1, plus an optional banded correction.
+
+    ``symmetric`` is read from the data, not declared: it is true when A
+    and Dbar are palindromic about offset 0, Cbar's window is Bbar's
+    reversed (Cbar = Bbar^T), q = p, zeta = xi and the banded part, if
+    any, is symmetric, all compared bitwise.  Such an operator's dense
+    matrix equals its transpose; it is the case the SPD theory covers.
     """
 
-    def __init__(self, A, Bbar, Cbar, Dbar, p, q, xi, zeta, o,
-                 banded=None, symmetric=False):
+    def __init__(self, A, Bbar, Cbar, Dbar, p, q, xi, zeta, o, banded=None):
         m = A.m
         if not (Bbar.m == Cbar.m == Dbar.m == m):
             raise ValueError("all Toeplitz blocks must share the half-size m")
@@ -301,25 +296,17 @@ class TpcOperator:
         self.o = float(o)
         self.m = m
         self.n = 2 * m + 1
-        self.symmetric = bool(symmetric)
-        # a symmetric operator's Cbar, q and zeta equal finite pieces below
-        self._check_finite(("A", "Bbar", "Dbar", "p", "xi", "o") if symmetric else
-                           ("A", "Bbar", "Cbar", "Dbar", "p", "q", "xi", "zeta", "o"))
-        if symmetric and not (
-                self.A.symmetric and self.Dbar.symmetric
-                and np.array_equal(self.Cbar.coeffs, self.Bbar.coeffs[::-1])
-                and np.array_equal(self.q, self.p)
-                and np.array_equal(self.zeta, self.xi)):
-            raise ValueError("symmetric flag set on a non-symmetric operator")
+        self._check_finite()
         self.banded = banded
         self._check_banded()
+        self.symmetric = self._is_symmetric()
         self._symbols = None
 
-    def _check_finite(self, names):
+    def _check_finite(self):
         """Reject NaN or infinite Toeplitz windows, cross vectors and the
         center o, naming the piece: one isfinite pass over each stored
         array."""
-        for name in names:
+        for name in ("A", "Bbar", "Cbar", "Dbar", "p", "q", "xi", "zeta", "o"):
             piece = getattr(self, name)
             if isinstance(piece, ToeplitzSpec):
                 kind, piece = "Toeplitz block", piece.data
@@ -341,15 +328,21 @@ class TpcOperator:
         for l, band in banded.bands.items():
             if not np.isfinite(band).all():
                 self._reject_non_finite(f"banded band {l}")
-        if self.symmetric and not banded.is_symmetric():
-            raise ValueError("symmetric flag set on a non-symmetric operator")
 
-    @classmethod
-    def identity(cls, m):
-        return cls(ToeplitzSpec.identity(m), ToeplitzSpec.zero(m),
-                   ToeplitzSpec.zero(m), ToeplitzSpec.identity(m),
-                   np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m), 1.0,
-                   symmetric=True)
+    def _is_symmetric(self):
+        """The ``symmetric`` value, read from the stored windows without
+        expanding them, cheapest test first: the window offsets, then the
+        cross vectors (a gamma-model level stops at q != p), then the
+        window data and the banded part."""
+        A, B, C, D = self.A, self.Bbar, self.Cbar, self.Dbar
+        return (A.lo == -A.hi and D.lo == -D.hi and C.lo == -B.hi
+                and C.data.size == B.data.size
+                and np.array_equal(self.q, self.p)
+                and np.array_equal(self.zeta, self.xi)
+                and np.array_equal(C.data, B.data[::-1])
+                and np.array_equal(A.data, A.data[::-1])
+                and np.array_equal(D.data, D.data[::-1])
+                and (self.banded is None or self.banded.is_symmetric()))
 
     def _block_symbols(self):
         """(L, S) with S[0] the embedded symbols of (A, Dbar) and S[1] those
@@ -467,14 +460,13 @@ class TpcOperator:
         def shifted(spec):
             full = spec.coeffs * scale
             full[spec.m - 1] += shift
-            return ToeplitzSpec(spec.m, full, symmetric=spec.symmetric)
+            return ToeplitzSpec(spec.m, full)
 
         return TpcOperator(
             shifted(self.A), self.Bbar.scaled(scale), self.Cbar.scaled(scale),
             shifted(self.Dbar), self.p * scale, self.q * scale,
             self.xi * scale, self.zeta * scale, scale * self.o + shift,
-            banded=None if self.banded is None else self.banded.scaled(scale),
-            symmetric=self.symmetric)
+            banded=None if self.banded is None else self.banded.scaled(scale))
 
     def without_banded(self):
         return self if self.banded is None else self.with_banded(None)
@@ -483,10 +475,11 @@ class TpcOperator:
         """This operator with its banded part replaced (None drops it).  The
         Toeplitz-plus-Cross pieces, already checked, are shared with self
         together with their symbol cache; only the new banded part is
-        checked."""
+        checked, and the symmetry read again."""
         out = copy.copy(self)
         out.banded = banded
         out._check_banded()
+        out.symmetric = out._is_symmetric()
         return out
 
     @property

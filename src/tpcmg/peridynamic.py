@@ -167,7 +167,7 @@ def assemble_pd_system(cfg):
         full = np.zeros(2 * m - 1)
         full[m - 1:m - 1 + table.size] = table
         full[m - 1::-1][:table.size] = table
-        return ToeplitzSpec(m, full, symmetric=True)
+        return ToeplitzSpec(m, full)
 
     A = sym_spec(co.a)
     # B = toeplitz([a_{1/2}, a_{3/2}, ..], [a_{1/2}, a_{1/2}, a_{3/2}, ..]):
@@ -203,8 +203,7 @@ def assemble_pd_system(cfg):
         zeta[:r] = co.d[1:]
         xi = zeta.copy()
 
-    op = TpcOperator(A, Bbar, Cbar, Dbar, p, q, xi, zeta, o,
-                     symmetric=cfg.symmetric)
+    op = TpcOperator(A, Bbar, Cbar, Dbar, p, q, xi, zeta, o)
     return PdSystem(cfg, op, co)
 
 

@@ -83,10 +83,14 @@ class MarchResult:
     u_final: np.ndarray
     max_error: float
     iterations: list = field(default_factory=list)
-    avg_iterations: float = 0.0
     solve_time: float = 0.0
     wall_time: float = 0.0
     reports: list = field(default_factory=list)
+
+    @property
+    def avg_iterations(self):
+        """Mean V-cycles per step; 0.0 before any step."""
+        return float(np.mean(self.iterations)) if self.iterations else 0.0
 
 
 def build_step_operator(system, tau):
@@ -130,7 +134,6 @@ def bdf4_march(problem, cfg, smoother=None, tol=1e-15, max_iter=200, coarsest=7)
 
     result.u_final = u
     result.solve_time = t_solve
-    result.avg_iterations = float(np.mean(result.iterations)) if result.iterations else 0.0
     result.max_error = float(np.abs(u - problem.exact(cfg.final_time)).max())
     result.wall_time = time.perf_counter() - start
     return result

@@ -19,13 +19,58 @@ def dense_toeplitz(spec):
     return sla.toeplitz(col, row)
 
 
+def identity_spec(m):
+    c = np.zeros(2 * m - 1)
+    c[m - 1] = 1.0
+    return ToeplitzSpec(m, c)
+
+
+def zero_spec(m):
+    return ToeplitzSpec(m, np.zeros(2 * m - 1))
+
+
+def identity_tpc(m):
+    """The n x n identity, n = 2m + 1, as a TpcOperator."""
+    return TpcOperator(identity_spec(m), zero_spec(m), zero_spec(m),
+                       identity_spec(m), np.zeros(m), np.zeros(m),
+                       np.zeros(m), np.zeros(m), 1.0)
+
+
+def tpc_pieces(op):
+    """The constructor arguments of op, by name."""
+    return dict(A=op.A, Bbar=op.Bbar, Cbar=op.Cbar, Dbar=op.Dbar, p=op.p,
+                q=op.q, xi=op.xi, zeta=op.zeta, o=op.o, banded=op.banded)
+
+
+def break_mirror(op, piece):
+    """A copy of op whose mirror pair through ``piece`` is broken: Cbar one
+    ulp off Bbar^T at offset 0, A or Dbar one ulp off palindromic at offset
+    1, q or zeta one ulp off p or xi in its first entry, or (piece
+    "banded") a banded part holding band -1 only."""
+    m = op.m
+    parts = tpc_pieces(op)
+    if piece == "banded":
+        parts["banded"] = BandedCorrection(op.n, {-1: np.ones(op.n - 1)})
+    elif piece in ("A", "Cbar", "Dbar"):
+        c = parts[piece].coeffs
+        k = m - 1 if piece == "Cbar" else m
+        c[k] = np.nextafter(c[k], np.inf)
+        parts[piece] = ToeplitzSpec(m, c)
+    else:
+        v = parts[piece].copy()
+        v[0] = np.nextafter(v[0], np.inf)
+        parts[piece] = v
+    return TpcOperator(**parts)
+
+
 def random_tpc(rng, m, symmetric=False, banded_bw=None):
-    """Random TpcOperator, optionally symmetric or with a banded part."""
+    """Random TpcOperator with symmetric data (which it then reports) or
+    without, optionally with a banded part."""
     def spec(sym):
         c = rng.standard_normal(2 * m - 1)
         if sym:
             c = 0.5 * (c + c[::-1])
-        return ToeplitzSpec(m, c, symmetric=sym)
+        return ToeplitzSpec(m, c)
 
     if symmetric:
         A = spec(True)
@@ -53,5 +98,4 @@ def random_tpc(rng, m, symmetric=False, banded_bw=None):
                 if l > 0:
                     bands[-l] = bands[l].copy()
         banded = BandedCorrection(n, bands)
-    return TpcOperator(A, Bbar, Cbar, Dbar, p, q, xi, zeta, o,
-                       banded=banded, symmetric=symmetric)
+    return TpcOperator(A, Bbar, Cbar, Dbar, p, q, xi, zeta, o, banded=banded)

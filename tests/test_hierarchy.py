@@ -11,7 +11,7 @@ from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
                    coarsen_tpc, prolong, restrict)
 from tpcmg.oracle import dense_galerkin, restriction_matrix, sym_eig_extremes
 
-from conftest import random_tpc
+from conftest import identity_spec, identity_tpc, random_tpc, zero_spec
 
 
 # coarse matrix of the all-ones/identity worked example, frozen times 8;
@@ -32,8 +32,8 @@ def example_fine_operator():
     m = 7
     ones = np.ones(2 * m - 1)
     return TpcOperator(
-        ToeplitzSpec.identity(m), ToeplitzSpec(m, ones), ToeplitzSpec(m, ones),
-        ToeplitzSpec.identity(m), np.ones(m), np.ones(m), np.zeros(m),
+        identity_spec(m), ToeplitzSpec(m, ones), ToeplitzSpec(m, ones),
+        identity_spec(m), np.ones(m), np.ones(m), np.zeros(m),
         np.zeros(m), 1.0)
 
 
@@ -100,9 +100,9 @@ class TestCoarsenTpc:
 
     def test_zero_operator(self):
         m = 7
-        z = ToeplitzSpec.zero(m)
+        z = zero_spec(m)
         fine = TpcOperator(z, z, z, z, np.zeros(m), np.zeros(m), np.zeros(m),
-                           np.zeros(m), 0.0, symmetric=True)
+                           np.zeros(m), 0.0)
         coarse = coarsen_tpc(fine)
         assert np.abs(coarse.dense()).max() == 0.0
 
@@ -135,13 +135,12 @@ def _windowed_tpc(rng, m, symmetric):
             lo, hi = -max(-lo, hi), max(-lo, hi)
         c[:lo + m - 1] = 0.0
         c[hi + m:] = 0.0
-        return ToeplitzSpec(m, c, symmetric=sym)
+        return ToeplitzSpec(m, c)
 
     op = random_tpc(rng, m, symmetric=symmetric)
     A, D, B = window(op.A, symmetric), window(op.Dbar, symmetric), window(op.Bbar, False)
     C = B.transpose() if symmetric else window(op.Cbar, False)
-    return TpcOperator(A, B, C, D, op.p, op.q, op.xi, op.zeta, op.o,
-                       symmetric=symmetric)
+    return TpcOperator(A, B, C, D, op.p, op.q, op.xi, op.zeta, op.o)
 
 
 class TestCoarsenRandomised:
@@ -232,7 +231,7 @@ class TestBuildHierarchy:
             assert hier.coefficient_storage() <= 8 * system.op.n
 
     def test_singular_coarsest_rejected(self):
-        zero = TpcOperator.identity(7).scale_shift(0.0, 0.0)
+        zero = identity_tpc(7).scale_shift(0.0, 0.0)
         with pytest.raises(ValueError, match=r"n = 7 is singular"):
             build_hierarchy(zero)
 
@@ -240,8 +239,8 @@ class TestBuildHierarchy:
         """Every piece is finite, but a_0 plus the band-0 correction
         overflows to inf in the dense coarsest matrix."""
         m, n = 3, 7
-        op = TpcOperator(ToeplitzSpec.identity(m).scaled(1e308), ToeplitzSpec.zero(m),
-                         ToeplitzSpec.zero(m), ToeplitzSpec.identity(m),
+        op = TpcOperator(identity_spec(m).scaled(1e308), zero_spec(m),
+                         zero_spec(m), identity_spec(m),
                          np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m), 1.0,
                          banded=BandedCorrection(n, {0: np.full(n, 1e308)}))
         with warnings.catch_warnings():

@@ -10,20 +10,21 @@ from hypothesis import strategies as st
 from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
                    ToeplitzSpec, TpcOperator, assemble_gamma_system,
                    assemble_pd_system, build_hierarchy, build_step_operator,
-                   toeplitz_matvec)
+                   coarsen_tpc, toeplitz_matvec)
 from tpcmg import kernels
 
-from conftest import dense_toeplitz, random_tpc
+from conftest import (break_mirror, dense_toeplitz, identity_spec, identity_tpc,
+                      random_tpc, tpc_pieces, zero_spec)
 
 
 class TestToeplitz:
     def test_tridiagonal_laplacian_on_constants(self):
         # offsets -2..2: (t_{-1}, t_0, t_1) = (-1, 2, -1)
-        spec = ToeplitzSpec(3, [0, -1, 2, -1, 0], symmetric=True)
+        spec = ToeplitzSpec(3, [0, -1, 2, -1, 0])
         assert np.allclose(toeplitz_matvec(spec, [1, 1, 1]), [1, 0, 1])
 
     def test_identity(self, rng):
-        spec = ToeplitzSpec.identity(9)
+        spec = identity_spec(9)
         x = rng.standard_normal(9)
         assert np.allclose(toeplitz_matvec(spec, x), x)
 
@@ -55,10 +56,6 @@ class TestToeplitz:
             scale = 1.0 + np.abs(x).max() * np.abs(spec.coeffs).sum()
             assert np.abs(toeplitz_matvec(spec, x) - ref).max() <= 1e-11 * scale
 
-    def test_symmetric_flag_validation(self):
-        with pytest.raises(ValueError):
-            ToeplitzSpec(2, [1.0, 2.0, 3.0], symmetric=True)
-
     def test_window_storage(self):
         spec = ToeplitzSpec(100, np.zeros(199))
         assert spec.stored_count == 1
@@ -71,7 +68,7 @@ class TestToeplitz:
         assert np.array_equal(spec.coeffs, c)
 
     def test_length_mismatch(self):
-        spec = ToeplitzSpec.identity(4)
+        spec = identity_spec(4)
         with pytest.raises(ValueError):
             toeplitz_matvec(spec, np.ones(5))
 
@@ -92,7 +89,7 @@ class TestBanded:
 
 class TestTpcOperator:
     def test_identity(self, rng):
-        op = TpcOperator.identity(6)
+        op = identity_tpc(6)
         x = rng.standard_normal(13)
         assert np.allclose(op.matvec(x), x)
 
@@ -100,8 +97,8 @@ class TestTpcOperator:
         # identity diagonals, all-ones off blocks; column through the center
         m = 7
         op = TpcOperator(
-            ToeplitzSpec.identity(m), ToeplitzSpec(m, np.ones(2 * m - 1)),
-            ToeplitzSpec(m, np.ones(2 * m - 1)), ToeplitzSpec.identity(m),
+            identity_spec(m), ToeplitzSpec(m, np.ones(2 * m - 1)),
+            ToeplitzSpec(m, np.ones(2 * m - 1)), identity_spec(m),
             np.ones(m), np.ones(m), np.zeros(m), np.zeros(m), 1.0)
         e = np.zeros(op.n)
         e[m] = 1.0
@@ -122,11 +119,23 @@ class TestTpcOperator:
         rhs = a * op.matvec(x) + b * op.matvec(y)
         assert np.abs(lhs - rhs).max() < 1e-12 * (1 + np.abs(rhs).max())
 
-    def test_symmetric_flag_validation(self, rng):
-        op = random_tpc(rng, 5)
-        with pytest.raises(ValueError):
-            TpcOperator(op.A, op.Bbar, op.Cbar, op.Dbar, op.p, op.q, op.xi,
-                        op.zeta, op.o, symmetric=True)
+    def test_symmetry_read_from_data(self, rng):
+        op = TpcOperator(**tpc_pieces(random_tpc(rng, 15, symmetric=True)))
+        assert op.symmetric
+        coarse = coarsen_tpc(op).dense()
+        assert np.array_equal(coarse, coarse.T)
+
+    @pytest.mark.parametrize("piece", ["A", "Cbar", "Dbar", "q", "zeta", "banded"])
+    def test_one_broken_mirror_reads_nonsymmetric(self, rng, piece):
+        op = random_tpc(rng, 15, symmetric=True, banded_bw=1)
+        assert op.symmetric
+        assert not break_mirror(op, piece).symmetric
+
+    def test_with_banded_reads_symmetry_again(self, rng):
+        op = random_tpc(rng, 7, symmetric=True)
+        lower = BandedCorrection(op.n, {-1: np.ones(op.n - 1)})
+        assert not op.with_banded(lower).symmetric
+        assert op.with_banded(lower).without_banded().symmetric
 
     def test_scale_shift(self, rng):
         op = random_tpc(rng, 9, symmetric=True, banded_bw=0)
@@ -200,7 +209,7 @@ def _windowed_spec(rng, m, short, sym=False):
         c[(l < lo) | (l > hi)] = 0.0
     if sym:
         c = 0.5 * (c + c[::-1])
-    return ToeplitzSpec(m, c, symmetric=sym)
+    return ToeplitzSpec(m, c)
 
 
 def _assert_matches_dense(op, x, dense=None):
@@ -230,7 +239,8 @@ class TestFusedKernelRandomised:
         q, zeta = (p, xi) if symmetric else (rng.standard_normal(m), rng.standard_normal(m))
         banded = None if bw is None else random_tpc(rng, m, symmetric, banded_bw=bw).banded
         op = TpcOperator(A, B, C, D, p, q, xi, zeta, float(rng.standard_normal()),
-                         banded=banded, symmetric=symmetric)
+                         banded=banded)
+        assert op.symmetric == symmetric
         x = rng.standard_normal(op.n)
         _assert_matches_dense(op, x)
         # derived operators start from their own caches, not the parent's
@@ -299,8 +309,8 @@ class TestEmbeddingLength:
     def test_reach_zero(self, rng, m):
         scale = rng.standard_normal(2)
         op = _windows_operator(rng, (
-            ToeplitzSpec.identity(m).scaled(scale[0]), ToeplitzSpec.zero(m),
-            ToeplitzSpec.zero(m), ToeplitzSpec.identity(m).scaled(scale[1])))
+            identity_spec(m).scaled(scale[0]), zero_spec(m),
+            zero_spec(m), identity_spec(m).scaled(scale[1])))
         assert _level_reach(op) == 0
         assert op._block_symbols()[0] == scipy.fft.next_fast_len(m, real=True)
 

@@ -5,13 +5,12 @@ from tpcmg import PdModelConfig, coarsen_banded, coarsen_tpc
 from tpcmg.oracle import (certify_section4, dense_galerkin, dense_solve,
                           sym_eig_extremes)
 
-from conftest import random_tpc
+from conftest import identity_tpc, random_tpc
 
 
 class TestDenseExpand:
     def test_identity(self):
-        from tpcmg import TpcOperator
-        assert np.array_equal(TpcOperator.identity(4).dense(), np.eye(9))
+        assert np.array_equal(identity_tpc(4).dense(), np.eye(9))
 
     def test_matvec_round_trip(self, rng):
         op = random_tpc(rng, 12, banded_bw=1)

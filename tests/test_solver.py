@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from tpcmg import (GammaModelConfig, Hierarchy, PdModelConfig,
                    SmootherConfig, TpcOperator, assemble_gamma_system,
@@ -10,7 +9,7 @@ from tpcmg.oracle import restriction_matrix
 from tpcmg import solver
 from tpcmg.solver import SingularSmootherError
 
-from conftest import random_tpc
+from conftest import break_mirror, identity_tpc, random_tpc, tpc_pieces
 
 
 def spd_hierarchy(N, r, tau=None):
@@ -71,7 +70,7 @@ class TestSmootherConfig:
 
 class TestVcycle:
     def test_identity_hierarchy_solves(self, rng):
-        hier = build_hierarchy(TpcOperator.identity(7))
+        hier = build_hierarchy(identity_tpc(7))
         b = rng.standard_normal(15)
         assert np.allclose(vcycle(hier, b), b)
 
@@ -188,8 +187,8 @@ class TestSolve:
             solve(hier, rng.standard_normal(op.n), **kwargs)
 
     def test_zero_diagonal_raises_on_first_use(self):
-        hier = Hierarchy([TpcOperator.identity(7).scale_shift(0.0, 0.0),
-                          TpcOperator.identity(3)])
+        hier = Hierarchy([identity_tpc(7).scale_shift(0.0, 0.0),
+                          identity_tpc(3)])
         with pytest.raises(SingularSmootherError):
             solve(hier, np.ones(15))
 
@@ -269,7 +268,7 @@ class TestSolve:
 
 class TestTgmFactor:
     def test_identity_contracts_immediately(self):
-        hier = build_hierarchy(TpcOperator.identity(15))
+        hier = build_hierarchy(identity_tpc(15))
         assert tgm_factor_estimate(hier, trials=2) <= 1e-8
 
     @pytest.mark.parametrize("N,r", [(16, 1), (32, 2), (64, 3)])
@@ -296,6 +295,21 @@ class TestTgmFactor:
     def test_nonsym_rejected(self, rng):
         hier = build_hierarchy(random_tpc(rng, 7))
         with pytest.raises(ValueError):
+            tgm_factor_estimate(hier)
+
+    def test_symmetric_data_accepted(self, rng):
+        op = random_tpc(rng, 15, symmetric=True)
+        # shifted past its Gershgorin radius: diagonally dominant, so SPD
+        op = op.scale_shift(1.0, np.abs(op.dense()).sum(axis=1).max())
+        hier = build_hierarchy(TpcOperator(**tpc_pieces(op)))
+        assert 0.0 <= tgm_factor_estimate(hier, trials=2) < 1.0
+
+    @pytest.mark.parametrize("piece", ["Cbar", "q", "banded"])
+    def test_one_broken_mirror_rejected(self, rng, piece):
+        op = random_tpc(rng, 15, symmetric=True)
+        shift = np.abs(op.dense()).sum(axis=1).max()
+        hier = build_hierarchy(break_mirror(op.scale_shift(1.0, shift), piece))
+        with pytest.raises(ValueError, match="symmetric SPD variant"):
             tgm_factor_estimate(hier)
 
     def test_zero_cycles_rejected(self):

@@ -90,6 +90,10 @@ class TestMarch:
         result = bdf4_march(problem, TransientConfig(tau=1.0 / 32.0))
         assert result.max_error == pytest.approx(1.1628e-05, rel=0.01)
         assert abs(result.avg_iterations - 9) <= 2
+        # derived from the per-step counts on read, not stored
+        assert result.avg_iterations == np.mean(result.iterations)
+        with pytest.raises(AttributeError):
+            result.avg_iterations = 0.0
 
     def test_gamma_table_row(self):
         problem = gamma_manufactured_problem(GammaModelConfig(N=32, gamma=0.0))

@@ -20,10 +20,17 @@ are missing or disagree, ``scipy.fft`` itself is used.  The direct calls
 run on one thread, and ``scipy.fft.set_backend``/``set_workers`` do not
 reach them.
 
-The operator classes here store only generating sequences (O(n) memory)
-and are immutable after construction apart from lazily filled symbol
-caches, so they can be shared freely across threads; transform scratch
-space is allocated per call.
+A Toeplitz-plus-Cross operator stores its cross as two length-n lines,
+the column [p, o, xi] and the row [q, o, zeta] (one array when they are
+equal), so every product is assembled the same way: x[m] times the column,
+the block kernel's two rows added into its slices, the row's dot product
+with x as entry m, and the banded product added if there is one.
+
+The operator classes here store only generating sequences (O(n) memory),
+each a read-only copy of what the constructor was given, and are
+immutable after construction apart from lazily filled symbol caches, so
+they can be shared freely across threads; transform scratch space is
+allocated per call.
 """
 
 from __future__ import annotations
@@ -132,6 +139,7 @@ class ToeplitzSpec:
             first, last = int(nz.argmax()), coeffs.size - 1 - int(nz[::-1].argmax())
             self.lo = first - (m - 1)
             self.data = coeffs[first:last + 1].copy()
+        self.data.flags.writeable = False
         self._symbol = None
 
     @property
@@ -167,12 +175,9 @@ class ToeplitzSpec:
         return ToeplitzSpec(self.m, self.coeffs[::-1])
 
     def scaled(self, s):
-        out = ToeplitzSpec.__new__(ToeplitzSpec)
-        out.m = self.m
-        out.lo = self.lo
-        out.data = self.data * s
-        out._symbol = None
-        return out
+        """s times this matrix, its window trimmed again (s = 0 leaves the
+        zero matrix's one-entry window)."""
+        return ToeplitzSpec(self.m, self.coeffs * s)
 
     def _embedded_symbol(self):
         """rfft of the first column of the embedding circulant (cached)."""
@@ -212,7 +217,8 @@ class BandedCorrection:
             if band.shape != (n - abs(l),):
                 raise ValueError(f"band {l} must have length {n - abs(l)}, got {band.shape}")
             if np.any(band):
-                self.bands[int(l)] = band.copy()
+                band = self.bands[int(l)] = band.copy()
+                band.flags.writeable = False
 
     @property
     def bandwidth(self):
@@ -286,16 +292,19 @@ class TpcOperator:
         if not (Bbar.m == Cbar.m == Dbar.m == m):
             raise ValueError("all Toeplitz blocks must share the half-size m")
         self.A, self.Bbar, self.Cbar, self.Dbar = A, Bbar, Cbar, Dbar
-        self.p = np.asarray(p, dtype=float)
-        self.q = np.asarray(q, dtype=float)
-        self.xi = np.asarray(xi, dtype=float)
-        self.zeta = np.asarray(zeta, dtype=float)
-        for name, vec in (("p", self.p), ("q", self.q), ("xi", self.xi), ("zeta", self.zeta)):
-            if vec.shape != (m,):
-                raise ValueError(f"cross vector {name} must have length {m}")
-        self.o = float(o)
         self.m = m
         self.n = 2 * m + 1
+        for name, vec in (("p", p), ("q", q), ("xi", xi), ("zeta", zeta)):
+            if np.shape(vec) != (m,):
+                raise ValueError(f"cross vector {name} must have length {m}")
+        # copies, read-only: the operator does not share the caller's arrays
+        self.col = np.concatenate([p, [o], xi], dtype=float)
+        row = np.concatenate([q, [o], zeta], dtype=float)
+        self.row = self.col if np.array_equal(row, self.col) else row
+        self.col.flags.writeable = self.row.flags.writeable = False
+        self.p, self.xi = self.col[:m], self.col[m + 1:]
+        self.q, self.zeta = self.row[:m], self.row[m + 1:]
+        self.o = float(self.col[m])
         self._check_finite()
         self.banded = banded
         self._check_banded()
@@ -332,20 +341,19 @@ class TpcOperator:
     def _is_symmetric(self):
         """The ``symmetric`` value, read from the stored windows without
         expanding them, cheapest test first: the window offsets, then the
-        cross vectors (a gamma-model level stops at q != p), then the
+        cross lines (a gamma-model level stops at row != col), then the
         window data and the banded part."""
         A, B, C, D = self.A, self.Bbar, self.Cbar, self.Dbar
         return (A.lo == -A.hi and D.lo == -D.hi and C.lo == -B.hi
                 and C.data.size == B.data.size
-                and np.array_equal(self.q, self.p)
-                and np.array_equal(self.zeta, self.xi)
+                and self.row is self.col
                 and np.array_equal(C.data, B.data[::-1])
                 and np.array_equal(A.data, A.data[::-1])
                 and np.array_equal(D.data, D.data[::-1])
                 and (self.banded is None or self.banded.is_symmetric()))
 
     def _block_symbols(self):
-        """(L, S) with S[0] the embedded symbols of (A, Dbar) and S[1] those
+        """(L, S0, S1) with S0 the embedded symbols of (A, Dbar) and S1 those
         of (Bbar, Cbar), each the rfft of a length-L embedding column, L fit
         to the largest reach of the four blocks; computed on the first
         matvec and cached."""
@@ -355,21 +363,22 @@ class TpcOperator:
             S = np.empty((2, 2, length // 2 + 1), dtype=complex)
             for k, spec in enumerate(specs):
                 S[k // 2, k % 2] = _rfft(_embedding_column(spec, length))
-            self._symbols = (length, S)
+            self._symbols = (length, S[0], S[1])
         return self._symbols
 
     def matvec(self, x):
         """Product with a length-n array: the four Toeplitz blocks, run as
         one fused block kernel (a batched rfft of the rows v, wbar, the 2x2
         symbol contraction and a batched irfft; row by row above
-        _BATCH_MAX_LENGTH), plus the O(m) cross terms, added into the
-        banded product if there is one."""
+        _BATCH_MAX_LENGTH), added into x[m] times the cross column, with the
+        cross row's dot product as entry m, plus the banded product if there
+        is one."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"x must have length {self.n}, got {x.shape}")
         m = self.m
-        v, wo, wbar = x[:m], x[m], x[m + 1:]
-        length, S = self._block_symbols()
+        v, wbar = x[:m], x[m + 1:]
+        length, S0, S1 = self._block_symbols()
         # free each spectrum before the next allocation: that bounds the
         # transient memory to about two (2, L) buffers
         if length <= _BATCH_MAX_LENGTH:
@@ -377,8 +386,8 @@ class TpcOperator:
             X[0, :m] = v
             X[1, :m] = wbar
             X = _rfft(X)
-            off = X[::-1] * S[1]        # (Bbar wbar, Cbar v)
-            X *= S[0]                   # (A v, Dbar wbar)
+            off = X[::-1] * S1          # (Bbar wbar, Cbar v)
+            X *= S0                     # (A v, Dbar wbar)
             X += off
             del off
             Z = _irfft(X, length)
@@ -391,34 +400,23 @@ class TpcOperator:
             row[:m] = wbar
             W = _rfft(row)
             del row
-            Y = V * S[0, 0]             # A v
-            Y += W * S[1, 0]            # + Bbar wbar
-            W *= S[0, 1]                # Dbar wbar
-            V *= S[1, 1]                # Cbar v
+            Y = V * S0[0]               # A v
+            Y += W * S1[0]              # + Bbar wbar
+            W *= S0[1]                  # Dbar wbar
+            V *= S1[1]                  # Cbar v
             W += V
             del V
             z0 = _irfft(Y, length)[:m]
             del Y
             z1 = _irfft(W, length)[:m]
             del W
+        y = self.col * x[m]
+        y[:m] += z0
+        y[m + 1:] += z1
         # ndarray.dot: the same BLAS dot as @, at half the call overhead
-        center = self.q.dot(v) + self.o * wo + self.zeta.dot(wbar)
-        if self.banded is None:
-            y = np.empty(self.n)
-            yv, yw = y[:m], y[m + 1:]
-            np.multiply(self.p, wo, yv)
-            yv += z0
-            np.multiply(self.xi, wo, yw)
-            yw += z1
-            y[m] = center
-            return y
-        y = self.banded.matvec(x)
-        yv, yw = y[:m], y[m + 1:]
-        yv += z0
-        yv += wo * self.p
-        y[m] += center
-        yw += z1
-        yw += wo * self.xi
+        y[m] = self.row.dot(x)
+        if self.banded is not None:
+            y += self.banded.matvec(x)
         return y
 
     def dense(self):
@@ -435,11 +433,8 @@ class TpcOperator:
             (self.Dbar, (slice(m + 1, n), slice(m + 1, n))),
         ):
             out[rows, cols] = block.coeffs[offsets + m - 1]
-        out[:m, m] = self.p
-        out[m, :m] = self.q
-        out[m + 1:, m] = self.xi
-        out[m, m + 1:] = self.zeta
-        out[m, m] = self.o
+        out[:, m] = self.col
+        out[m, :] = self.row
         if self.banded is not None:
             out += self.banded.dense()
         return out

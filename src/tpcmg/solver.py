@@ -6,11 +6,12 @@ post-smooths m2 times; the coarsest level is solved with the hierarchy's
 dense LU factors.  The cycle below n = 63 (from the first level above the
 coarsest with n <= 63 down) is applied as one dense matrix, built on first
 use from that same recursion and cached on the hierarchy per smoother,
-together with each level's inverse diagonal.  The sweeps and residuals
-work in place on the cycle's own iterate and on each fresh matvec output,
-never on the right-hand side.  The outer iteration applies cycles to the
-residual until the Euclidean relative residual drops below the tolerance,
-or reports why it stopped short.
+together with each level's smoother diagonals omega_pre D^{-1} and
+omega_post D^{-1}, scaled once so a sweep multiplies by one array.  The
+sweeps and residuals work in place on the cycle's own iterate and on each
+fresh matvec output, never on the right-hand side.  The outer iteration
+applies cycles to the residual until the Euclidean relative residual drops
+below the tolerance, or reports why it stopped short.
 """
 
 from __future__ import annotations
@@ -108,20 +109,23 @@ _STALL_BOUND = 1024 * np.finfo(float).eps
 _TAIL_SIZE = 63
 
 
-def _inv_diag(op):
+def _smoother_diagonals(op, cfg):
+    """(omega_pre D^{-1}, omega_post D^{-1}) of one level."""
     d = op.diagonal()
     if np.any(d == 0.0):
         raise SingularSmootherError("zero diagonal entry in smoother")
-    return 1.0 / d
+    dinv = 1.0 / d
+    return cfg.omega_pre * dinv, cfg.omega_post * dinv
 
 
 @dataclass
 class _CycleCache:
-    """What one smoother's cycles on one hierarchy reuse: the inverse
-    diagonal of every level above the coarsest, and the matrix of the
-    cycle from level tail_level down (unset while it is being built)."""
+    """What one smoother's cycles on one hierarchy reuse: the smoother
+    diagonals (omega_pre D^{-1}, omega_post D^{-1}) of every level above the
+    coarsest, and the matrix of the cycle from level tail_level down (unset
+    while it is being built)."""
 
-    dinv: list
+    diagonals: list
     tail_level: int | None = None
     tail: np.ndarray | None = None
 
@@ -130,7 +134,7 @@ def _cycle_cache(hier, cfg):
     cache = hier.cycle_cache.get(cfg)
     if cache is None:
         above = hier.levels[:-1]
-        cache = _CycleCache([_inv_diag(op) for op in above])
+        cache = _CycleCache([_smoother_diagonals(op, cfg) for op in above])
         small = [k for k, op in enumerate(above) if op.n <= _TAIL_SIZE]
         if small:
             k, n = small[0], above[small[0]].n
@@ -145,25 +149,22 @@ def _cycle_cache(hier, cfg):
 
 
 def _cycle(hier, k, b, cfg, cache):
-    if k == len(hier.levels) - 1:
-        # unchecked: a NaN here propagates to the solve's non_finite status
-        return sla.lu_solve(hier.coarsest_lu, b, check_finite=False)
     if k == cache.tail_level:
         return cache.tail @ b
-    op = hier.levels[k]
-    dinv = cache.dinv[k]
+    levels = hier.levels
+    if k == len(levels) - 1:
+        # unchecked: a NaN here propagates to the solve's non_finite status
+        return sla.lu_solve(hier.coarsest_lu, b, check_finite=False)
+    op = levels[k]
+    pre, post = cache.diagonals[k]
     # first pre-sweep from the zero guess needs no matvec
-    if cfg.m1 > 0:
-        x = dinv * b
-        x *= cfg.omega_pre
-    else:
-        x = np.zeros_like(b)
+    x = pre * b if cfg.m1 > 0 else np.zeros_like(b)
     for _ in range(cfg.m1 - 1):
-        _smooth(op, x, b, dinv, cfg.omega_pre)
+        _smooth(op, x, b, pre)
     e = _cycle(hier, k + 1, restrict(_residual(op, x, b)), cfg, cache)
     x += prolong(e)
     for _ in range(cfg.m2):
-        _smooth(op, x, b, dinv, cfg.omega_post)
+        _smooth(op, x, b, post)
     return x
 
 
@@ -174,13 +175,13 @@ def _residual(op, x, b):
     return r
 
 
-def _smooth(op, x, b, dinv, omega):
-    """One damped-Jacobi sweep x += omega * D^{-1} (b - op x), in place on
-    x and on the residual buffer.  Scaling by D^{-1} and then by omega is
-    bitwise (omega * D^{-1}) r whenever omega is a power of two."""
+def _smooth(op, x, b, wdinv):
+    """One damped-Jacobi sweep x += (omega D^{-1}) (b - op x), in place on
+    x and on the residual buffer, with wdinv = omega D^{-1} from the cycle
+    cache.  Whenever omega is a power of two this is bitwise the product
+    scaled by D^{-1} and then by omega."""
     r = _residual(op, x, b)
-    r *= dinv
-    r *= omega
+    r *= wdinv
     x += r
 
 
@@ -225,7 +226,7 @@ def solve(hier, b, cfg=None, tol=1e-15, max_iter=200):
 
     start = time.perf_counter()
     x = np.zeros_like(b)
-    r0 = float(np.linalg.norm(b))
+    r0 = math.sqrt(b.dot(b))
     report = SolveReport(iterations=0)
     if r0 == 0.0:
         report.status = "converged"
@@ -238,10 +239,11 @@ def solve(hier, b, cfg=None, tol=1e-15, max_iter=200):
     for it in range(1, max_iter + 1):
         x += _cycle(hier, 0, r, cfg, cache)
         r = _residual(op, x, b)
-        rel = float(np.linalg.norm(r)) / r0
+        # sqrt(r.r): bitwise np.linalg.norm(r), without its dispatch
+        rel = math.sqrt(r.dot(r)) / r0
         history.append(rel)
         report.iterations = it
-        if not np.isfinite(rel):
+        if not math.isfinite(rel):
             report.status = "non_finite"
             break
         if rel < tol:

@@ -117,7 +117,7 @@ class TestCli:
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert code == 1
         assert [row[:3] for row in rows] == [["32", "nan", ""],
-                                             ["64", "7.383956e-07", ""]]
+                                             ["64", "7.383957e-07", ""]]
 
     def test_table_pretty_has_wall_column(self, capsys):
         code = main(["table", "--model", "pd-sym", "--N", "16", "--delta", "0.25"])

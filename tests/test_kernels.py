@@ -67,6 +67,11 @@ class TestToeplitz:
         assert spec.coeff(4) == 0.0
         assert np.array_equal(spec.coeffs, c)
 
+    def test_scaled_to_zero_trims_window(self, rng):
+        spec = ToeplitzSpec(9, rng.standard_normal(17)).scaled(0.0)
+        assert (spec.lo, spec.stored_count, spec.reach) == (0, 1, 0)
+        assert not spec.coeffs.any()
+
     def test_length_mismatch(self):
         spec = identity_spec(4)
         with pytest.raises(ValueError):
@@ -136,6 +141,26 @@ class TestTpcOperator:
         lower = BandedCorrection(op.n, {-1: np.ones(op.n - 1)})
         assert not op.with_banded(lower).symmetric
         assert op.with_banded(lower).without_banded().symmetric
+
+    @pytest.mark.parametrize("piece", ["p", "q", "xi", "zeta"])
+    def test_caller_cross_arrays_not_shared(self, rng, piece):
+        parts = tpc_pieces(random_tpc(rng, 15, symmetric=True))
+        for name in ("p", "q", "xi", "zeta"):
+            parts[name] = parts[name].copy()
+        op = TpcOperator(**parts)
+        x = rng.standard_normal(op.n)
+        before = op.matvec(x)
+        parts[piece][0] += 1.0
+        assert np.array_equal(op.matvec(x), before)
+        dense = op.dense()
+        assert op.symmetric and np.array_equal(dense, dense.T)
+
+    @pytest.mark.parametrize("piece", ["p", "q", "xi", "zeta", "col", "row"])
+    def test_stored_pieces_read_only(self, rng, piece):
+        op = random_tpc(rng, 7, banded_bw=1)
+        for arr in (getattr(op, piece), op.A.data, op.banded.bands[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
     def test_scale_shift(self, rng):
         op = random_tpc(rng, 9, symmetric=True, banded_bw=0)

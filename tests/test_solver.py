@@ -6,7 +6,7 @@ from tpcmg import (GammaModelConfig, Hierarchy, PdModelConfig,
                    assemble_pd_system, build_hierarchy, build_step_operator,
                    solve, tgm_factor_estimate, vcycle)
 from tpcmg.oracle import restriction_matrix
-from tpcmg import solver
+from tpcmg import kernels, solver
 from tpcmg.solver import SingularSmootherError
 
 from conftest import break_mirror, identity_tpc, random_tpc, tpc_pieces
@@ -257,6 +257,46 @@ class TestSolve:
         assert report.converged
         assert b.tobytes() == before
 
+    def test_products_and_transfers_go_through_traced_names(self, monkeypatch):
+        """marchbench/spans.py times the cycle by wrapping
+        TpcOperator.matvec, solver.restrict and solver.prolong where the
+        solver looks them up: every product and transfer of a solve, the
+        tail build included, must be a call through those names."""
+        counts = dict.fromkeys(("matvec", "restrict", "prolong"), 0)
+
+        def counted(name, owner):
+            fn = getattr(owner, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted("matvec", kernels.TpcOperator)
+        counted("restrict", solver)
+        counted("prolong", solver)
+        system = assemble_pd_system(PdModelConfig(N=64, delta=0.25, symmetric=True))
+        hier = build_hierarchy(build_step_operator(system, 1.0 / 64))
+        b = np.ones(hier.finest.n)
+        cfg = SmootherConfig()
+        # a level visit: m1 - 1 pre-sweeps (the first needs no product),
+        # the residual and m2 post-sweeps
+        per_visit = cfg.m1 + cfg.m2
+        seen = []
+        for _ in range(2):
+            before = dict(counts)
+            _, report = solve(hier, b, cfg)
+            assert report.converged
+            seen.append({k: counts[k] - before[k] for k in counts})
+        cache = hier.cycle_cache[cfg]
+        k, depth, its = cache.tail_level, hier.depth, report.iterations
+        assert [op.n for op in hier.levels] == [127, 63, 31, 15, 7] and k == 1
+        below = cache.tail.shape[0] * (depth - 1 - k)   # tail build visits
+        per_solve = {"matvec": its * (per_visit * k + 1),
+                     "restrict": its * k, "prolong": its * k}
+        build = {"matvec": per_visit * below, "restrict": below, "prolong": below}
+        assert seen == [{key: build[key] + per_solve[key] for key in counts}, per_solve]
+
     def test_residual_history_positive_decreasing_overall(self, rng):
         hier, op = spd_hierarchy(16, 2, tau=1.0 / 16.0)
         b = rng.standard_normal(op.n)
@@ -311,6 +351,16 @@ class TestTgmFactor:
         hier = build_hierarchy(break_mirror(op.scale_shift(1.0, shift), piece))
         with pytest.raises(ValueError, match="symmetric SPD variant"):
             tgm_factor_estimate(hier)
+
+    def test_zero_horizon_step_operator_accepted(self):
+        """tau = 0 scales the nonsymmetric pd operator away: 25/12 I, whose
+        emptied off-diagonal windows must not keep their old reach."""
+        system = assemble_pd_system(PdModelConfig(N=16, delta=0.25, symmetric=False))
+        op = build_step_operator(system, 0.0)
+        assert np.array_equal(op.dense(), 25.0 / 12.0 * np.eye(op.n))
+        assert op.symmetric
+        assert [spec.reach for spec in (op.A, op.Bbar, op.Cbar, op.Dbar)] == [0] * 4
+        assert tgm_factor_estimate(build_hierarchy(op), trials=2) <= 1e-8
 
     def test_zero_cycles_rejected(self):
         hier, _ = spd_hierarchy(16, 1)

@@ -129,16 +129,28 @@ class ToeplitzSpec:
             raise ValueError("m must be positive")
         if coeffs.shape != (2 * m - 1,):
             raise ValueError(f"coeffs must have length 2m-1={2 * m - 1}, got {coeffs.shape}")
+        self._set_window(m, -(m - 1), coeffs)
+
+    @classmethod
+    def _from_window(cls, m, lo, data):
+        """The m x m matrix whose offsets lo, lo + 1, ... hold data."""
+        spec = cls.__new__(cls)
+        spec._set_window(m, lo, data)
+        return spec
+
+    def _set_window(self, m, lo, data):
+        """Store data, its first entry at offset lo, with its zero ends
+        trimmed (the zero matrix keeps the one-entry window [0.0] at 0)."""
         self.m = int(m)
         # the window ends by argmax on a mask: no index array for dense windows
-        nz = coeffs != 0.0
+        nz = data != 0.0
         if not nz.any():
             self.lo = 0
             self.data = np.zeros(1)
         else:
-            first, last = int(nz.argmax()), coeffs.size - 1 - int(nz[::-1].argmax())
-            self.lo = first - (m - 1)
-            self.data = coeffs[first:last + 1].copy()
+            first, last = int(nz.argmax()), data.size - 1 - int(nz[::-1].argmax())
+            self.lo = lo + first
+            self.data = data[first:last + 1].copy()
         self.data.flags.writeable = False
         self._symbol = None
 
@@ -172,12 +184,14 @@ class ToeplitzSpec:
         return 0.0
 
     def transpose(self):
-        return ToeplitzSpec(self.m, self.coeffs[::-1])
+        """The transpose: the window reversed, its offsets mirrored."""
+        return ToeplitzSpec._from_window(self.m, -self.hi, self.data[::-1])
 
     def scaled(self, s):
-        """s times this matrix, its window trimmed again (s = 0 leaves the
-        zero matrix's one-entry window)."""
-        return ToeplitzSpec(self.m, self.coeffs * s)
+        """s times this matrix (s finite): the window scaled, and its ends
+        trimmed again where the product is zero (s = 0 leaves the zero
+        matrix's one-entry window)."""
+        return ToeplitzSpec._from_window(self.m, self.lo, self.data * s)
 
     def _embedded_symbol(self):
         """rfft of the first column of the embedding circulant (cached)."""

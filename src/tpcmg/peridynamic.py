@@ -13,6 +13,13 @@ The integer coefficient lists assume the horizon is a whole number of
 cells; the model therefore works with the effective horizon r*h (for
 delta = 1/4 on the benchmark grids the two coincide, and for
 delta = sqrt(h) this is what reproduces the reported convergence orders).
+
+F_folded is the forcing minus the collar data's exterior-stencil sums.
+fold_boundary_rhs computes all of them as one 2x2 block of Toeplitz
+products per side, through the kernels' transform pair: one batched rfft
+of the collar rows, zero-padded to next_fast_len(2r + 1), a contraction
+with the weights' spectra held by PdSystem and one batched irfft, so the
+fold costs O(r log r) per step.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as _fft
 
-from .kernels import ToeplitzSpec, TpcOperator
+from .kernels import ToeplitzSpec, TpcOperator, _irfft, _rfft
 
 __all__ = [
     "PdModelConfig",
@@ -131,7 +139,8 @@ def pd_coefficients(r, symmetric):
 
 
 class PdSystem:
-    """Assembled system with the fold weight vectors of the RHS collars."""
+    """Assembled system with the fold weight vectors of the RHS collars and
+    their spectra (see fold_boundary_rhs)."""
 
     def __init__(self, cfg, op, coeffs):
         self.cfg = cfg
@@ -149,6 +158,17 @@ class PdSystem:
             self.wD = coeffs.d[1:].copy()
         assert self.wA.size == r + 1 and self.wC.size == r + 1
         assert self.wB.size == r and self.wD.size == r
+        # per collar, the spectra of its (v row, w row) weights, divided by
+        # eta and zero-padded to a length that no linear sum wraps past
+        length = _fft.next_fast_len(2 * r + 1, real=True)
+        weights = np.zeros((2, 2, length))
+        weights[0, 0, :r + 1] = self.wA
+        weights[0, 1, :r + 1] = self.wC
+        weights[1, 0, :r] = self.wB
+        weights[1, 1, :r] = self.wD
+        weights /= self.scale
+        spectra = _rfft(weights)
+        self._fold_spectra = (length, spectra[0], spectra[1])
 
 
 def assemble_pd_system(cfg):
@@ -247,40 +267,53 @@ def fold_boundary_rhs(system, F, collar):
     op @ U = eta_h * F_folded reproduces constants exactly (validated
     against dense elimination of the full-domain operator in the tests).
 
-    Each sum is an entry of the full linear convolution of a collar vector
-    with one of the weight vectors wA, wB (v rows) or wC, wD (w rows): the
-    left collar as stored, the right collar reversed, so one step costs
-    eight np.convolve calls of length O(r).
+    Each sum is an entry of the linear convolution of a collar vector with
+    one of the weight vectors wA, wB (v rows) or wC, wD (w rows): the left
+    collar as stored, the right collar reversed.  With the w-collar shifted
+    by one place every sum reads the window [r, 2r], so all eight run as one
+    block product, as TpcOperator.matvec runs its blocks: one batched rfft
+    of the (side, collar) rows, zero-padded to L = next_fast_len(2r + 1),
+    a contraction with the weights' spectra that PdSystem holds and one
+    batched irfft, O(r log r) per step.
     """
     cfg = system.cfg
-    N, r, eta = cfg.N, cfg.r, system.scale
+    N, r = cfg.N, cfg.r
     collar = np.asarray(collar, dtype=float)
     if collar.shape != (4 * r + 2,):
         raise ValueError(f"collar must have length 4r+2 = {4 * r + 2}, "
                          f"got shape {collar.shape}")
-    lv, lw, rv, rw = np.split(collar, [r + 1, 2 * r + 1, 3 * r + 2])
+    lv, lw = collar[:r + 1], collar[r + 1:2 * r + 1]
+    rv, rw = collar[2 * r + 1:3 * r + 2], collar[3 * r + 2:]
 
-    data = np.array(F, dtype=float)
-    if data.shape != (2 * N - 1,):
-        raise ValueError(f"F must have length {2 * N - 1}, got {data.shape}")
-    Fv = data[:N - 1]
-    Fw = data[N - 1:]
-    wA, wB, wC, wD = system.wA, system.wB, system.wC, system.wD
+    F = np.asarray(F, dtype=float)
+    if F.shape != (2 * N - 1,):
+        raise ValueError(f"F must have length {2 * N - 1}, got {F.shape}")
 
-    def sums(cv, cw):
-        # v rows j = 1..r and w rows j = 1..r+1, counted from the collar;
-        # the w-collar (length r) reaches no w row beyond j = r
-        sv = np.convolve(cv, wA)[r:2 * r] + np.convolve(cw, wB)[r - 1:2 * r - 1]
-        sw = np.convolve(cv, wC)[r:2 * r + 1]
-        sw[:r] += np.convolve(cw, wD)[r - 1:2 * r - 1]
-        return sv / eta, sw / eta
-
-    sv, sw = sums(lv, lw)
-    Fv[:r] -= sv
-    Fw[:r + 1] -= sw
-    sv, sw = sums(rv[::-1], rw[::-1])
-    Fv[N - 1 - r:] -= sv[::-1]
-    Fw[N - 1 - r:] -= sw[::-1]
+    length, Sv, Sw = system._fold_spectra
+    # (side, collar) rows; the w-collar one place on, so that the v rows
+    # read offsets [r, 2r) and the w rows [r, 2r] of every sum
+    X = np.zeros((2, 2, length))
+    X[0, 0, :r + 1] = lv
+    X[0, 1, 1:r + 1] = lw
+    X[1, 0, :r + 1] = rv[::-1]
+    X[1, 1, 1:r + 1] = rw[::-1]
+    # free each spectrum before the next allocation, as matvec does, and
+    # copy F only after the transforms: at most two fold-sized arrays are
+    # alive at once
+    X = _rfft(X)
+    Y = X[:, :1] * Sv                   # (side, row): the v-collar terms
+    X[:, 0] = X[:, 1]
+    X *= Sw                             # (side, row): the w-collar terms
+    Y += X
+    del X
+    Z = _irfft(Y, length)
+    del Y
+    data = F.copy()
+    Fv, Fw = data[:N - 1], data[N - 1:]
+    Fv[:r] -= Z[0, 0, r:2 * r]
+    Fw[:r + 1] -= Z[0, 1, r:2 * r + 1]
+    Fv[N - 1 - r:] -= Z[1, 0, r:2 * r][::-1]
+    Fw[N - 1 - r:] -= Z[1, 1, r:2 * r + 1][::-1]
     return data
 
 

@@ -72,6 +72,32 @@ class TestToeplitz:
         assert (spec.lo, spec.stored_count, spec.reach) == (0, 1, 0)
         assert not spec.coeffs.any()
 
+    @pytest.mark.parametrize("scale", [0.0, 1.0, -2.5, 1e-300])
+    def test_scaled_and_transpose_match_constructor(self, rng, scale):
+        """Both work on the stored window and give bitwise the window that
+        the constructor trims from the scaled or reversed full sequence;
+        1e-300 underflows the 1e-30-sized window ends to zero."""
+        def same_window(spec, ref):
+            return ((spec.m, spec.lo, spec.data.tobytes())
+                    == (ref.m, ref.lo, ref.data.tobytes())
+                    and not spec.data.flags.writeable)
+
+        for _ in range(60):
+            m = int(rng.integers(1, 40))
+            c = rng.standard_normal(2 * m - 1)
+            c[rng.random(c.size) < 0.3] = 0.0              # interior zeros
+            lo, hi = np.sort(rng.integers(0, c.size, size=2))
+            c[:lo] = 0.0
+            c[hi + 1:] = 0.0
+            c[[lo, hi]] = 1e-30 * rng.choice([-1.0, 1.0], size=2)
+            spec = ToeplitzSpec(m, c)
+            assert same_window(spec.scaled(scale), ToeplitzSpec(m, c * scale))
+            assert same_window(spec.transpose(), ToeplitzSpec(m, c[::-1]))
+            assert same_window(spec.scaled(scale).transpose(),
+                               ToeplitzSpec(m, (c * scale)[::-1]))
+            if scale == 1e-300 and hi > lo:
+                assert spec.scaled(scale).stored_count < spec.stored_count
+
     def test_length_mismatch(self):
         spec = identity_spec(4)
         with pytest.raises(ValueError):

@@ -119,6 +119,35 @@ class TestAssembly:
             assert 1.0 - 1e-10 <= lam_max <= 2.0 + 1e-10
 
 
+def _fold_by_convolution(system, F, collar):
+    """The fold as eight direct convolutions: each exterior sum is an entry
+    of the full linear convolution of a collar vector (the right collar
+    reversed) with one of the weight vectors."""
+    cfg = system.cfg
+    N, r, eta = cfg.N, cfg.r, system.scale
+    lv, lw, rv, rw = np.split(np.asarray(collar, dtype=float),
+                              [r + 1, 2 * r + 1, 3 * r + 2])
+    data = np.array(F, dtype=float)
+    Fv, Fw = data[:N - 1], data[N - 1:]
+    wA, wB, wC, wD = system.wA, system.wB, system.wC, system.wD
+
+    def sums(cv, cw):
+        # v rows j = 1..r and w rows j = 1..r+1, counted from the collar;
+        # the w-collar (length r) reaches no w row beyond j = r
+        sv = np.convolve(cv, wA)[r:2 * r] + np.convolve(cw, wB)[r - 1:2 * r - 1]
+        sw = np.convolve(cv, wC)[r:2 * r + 1]
+        sw[:r] += np.convolve(cw, wD)[r - 1:2 * r - 1]
+        return sv / eta, sw / eta
+
+    sv, sw = sums(lv, lw)
+    Fv[:r] -= sv
+    Fw[:r + 1] -= sw
+    sv, sw = sums(rv[::-1], rw[::-1])
+    Fv[N - 1 - r:] -= sv[::-1]
+    Fw[N - 1 - r:] -= sw[::-1]
+    return data
+
+
 class TestFolding:
     def test_zero_collar_leaves_f(self, rng):
         cfg = PdModelConfig(N=8, delta=0.25, symmetric=True)
@@ -167,6 +196,21 @@ class TestFolding:
         truth = F - (exterior @ gvec) / system.scale
         assert np.abs(folded - truth).max() <= 1e-12 * (1 + np.abs(truth).max())
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("delta", [0.25, "sqrt-h"])
+    @pytest.mark.parametrize("N", [1024, 2048, 4096])
+    def test_large_r_matches_convolution(self, rng, N, delta, symmetric):
+        """Up to r = 1024, where the transform fold is longest."""
+        cfg = PdModelConfig(N=N, delta=delta, symmetric=symmetric)
+        system = assemble_pd_system(cfg)
+        F = rng.standard_normal(2 * N - 1)
+        collar = rng.standard_normal(4 * cfg.r + 2)
+        F_before = F.copy()
+        folded = fold_boundary_rhs(system, F, collar)
+        assert np.array_equal(F, F_before)          # F is not written
+        ref = _fold_by_convolution(system, F, collar)
+        assert np.abs(folded - ref).max() <= 1e-13 * np.abs(ref - F).max()
+
     def test_collar_length_validation(self):
         cfg = PdModelConfig(N=8, delta=0.25, symmetric=True)
         system = assemble_pd_system(cfg)
@@ -174,6 +218,16 @@ class TestFolding:
         for bad in (collar[:-1], np.append(collar, 1.0), collar[None, :]):
             with pytest.raises(ValueError, match=r"collar must have length 4r\+2"):
                 fold_boundary_rhs(system, np.zeros(15), bad)
+
+    def test_forcing_length_validation(self):
+        cfg = PdModelConfig(N=8, delta=0.25, symmetric=True)
+        system = assemble_pd_system(cfg)
+        collar = sample_collar(cfg, lambda x: 1.0)
+        for bad in (np.zeros(14), np.zeros(16), np.zeros((1, 15))):
+            with pytest.raises(ValueError, match="F must have length 15"):
+                fold_boundary_rhs(system, bad, collar)
+        folded = fold_boundary_rhs(system, [0.0] * 15, collar)     # a list works
+        assert np.array_equal(folded, fold_boundary_rhs(system, np.zeros(15), collar))
 
 
 class TestCollar:

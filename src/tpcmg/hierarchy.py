@@ -3,10 +3,10 @@
 Restriction is the full-weighting [1,2,1]/4 stencil applied directly to the
 block-ordered vector (no reordering), prolongation is twice its transpose.
 The Galerkin product R A P of a Toeplitz-plus-Cross operator is again
-Toeplitz-plus-Cross and is built here in closed form, coefficient by
-coefficient, in O(n) per level; the banded part coarsens by direct stencil
-convolution.  Both closed forms agree with the dense triple product to
-roundoff, which is the module's master invariant.
+Toeplitz-plus-Cross and is built here in one closed form for every level,
+symmetric or not, in O(n) per level; the banded part coarsens by direct
+stencil convolution.  Both closed forms agree with the dense triple
+product to roundoff, which is the module's master invariant.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ def restrict(x):
     in one fresh array."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"restriction needs odd length >= 3, got {n}")
+    if x.ndim != 1 or n % 2 == 0 or n < 3:
+        raise ValueError("restriction needs a 1-D array of odd length >= 3, "
+                         f"got shape {x.shape}")
     out = x[1::2] * 2.0
     out += x[:-2:2]
     out += x[2::2]
@@ -43,6 +44,8 @@ def prolong(x):
     """Prolongation P = 2 R^T: copy to odd fine nodes, average to even ones
     (the two end nodes halve their one coarse neighbour)."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"prolongation needs a 1-D array, got shape {x.shape}")
     nc = x.size
     if nc < 1:
         raise ValueError("empty coarse vector")
@@ -55,62 +58,29 @@ def prolong(x):
     return y
 
 
-def _coarsen_sequence(full, m, mc):
-    """Five-point rule 8 s'_l = s_{2l-2} + 4 s_{2l-1} + 6 s_{2l} + 4 s_{2l+1} + s_{2l+2}.
+def _coarsen_sequence(full):
+    """Five-point rule 8 s'_l = s_{2l-2} + 4 s_{2l-1} + 6 s_{2l} + 4 s_{2l+1} + s_{2l+2}
+    on a full generating sequence (length 2m - 1 -> 2mc - 1).
 
-    Out-of-range fine coefficients read as zero (they never occur for
-    full-length sequences, but stored windows may be shorter).
+    Each sum is taken in mirrored pairs, so a palindrome coarsens to a
+    palindrome and a reversed sequence to the reversed result, bitwise.
     """
-    ext = np.concatenate([np.zeros(2), full, np.zeros(2)])
-    centers = 2 * np.arange(-(mc - 1), mc) + (m - 1) + 2
-    out = (ext[centers - 2] + 4.0 * ext[centers - 1] + 6.0 * ext[centers]
-           + 4.0 * ext[centers + 1] + ext[centers + 2]) / 8.0
-    return out
-
-
-def _mirror(seq_half):
-    """Assemble a symmetric full sequence from its l >= 0 half."""
-    return np.concatenate([seq_half[:0:-1], seq_half])
-
-
-def _coarse_cross_column(fa, fb, p, m, mc):
-    """Closed form for the coarse cross column p' (and, by symmetry of the
-    layout, xi' with (c, d, xi) inputs):
-
-        8 p'_i = a_{m+1-2i} + 2 a_{m-2i} + a_{m-1-2i}
-               + 2 (p_{2i-1} + 2 p_{2i} + p_{2i+1})
-               + b_{-2i+2} + 2 b_{-2i+1} + b_{-2i}
-    """
-    i = np.arange(1, mc + 1)
-    ka = (m + 1 - 2 * i) + (m - 1)          # index of offset l in the full array
-    kb = (-2 * i + 2) + (m - 1)
-    out = (fa[ka] + 2.0 * fa[ka - 1] + fa[ka - 2]
-           + 2.0 * (p[2 * i - 2] + 2.0 * p[2 * i - 1] + p[2 * i])
-           + fb[kb] + 2.0 * fb[kb - 1] + fb[kb - 2])
-    return out / 8.0
-
-
-def _coarse_cross_row(fa, fc, q, m, mc):
-    """Closed form for the coarse cross row q' (and zeta' with (b, d, zeta)):
-
-        8 q'_i = a_{-(m+1)+2i} + 2 a_{-m+2i} + a_{-(m-1)+2i}
-               + 2 (q_{2i-1} + 2 q_{2i} + q_{2i+1})
-               + c_{2i-2} + 2 c_{2i-1} + c_{2i}
-    """
-    i = np.arange(1, mc + 1)
-    ka = (-(m + 1) + 2 * i) + (m - 1)
-    kc = (2 * i - 2) + (m - 1)
-    out = (fa[ka] + 2.0 * fa[ka + 1] + fa[ka + 2]
-           + 2.0 * (q[2 * i - 2] + 2.0 * q[2 * i - 1] + q[2 * i])
-           + fc[kc] + 2.0 * fc[kc + 1] + fc[kc + 2])
-    return out / 8.0
+    even, odd = full[0::2], full[1::2]
+    return ((even[:-2] + even[2:]) + 4.0 * (odd[:-1] + odd[1:])
+            + 6.0 * even[1:-1]) / 8.0
 
 
 def coarsen_tpc(fine):
     """Galerkin-coarsen a banded-free Toeplitz-plus-Cross operator.
 
     Returns the coarse operator with half-size (m-1)/2; its dense expansion
-    equals R @ dense(fine) @ P up to roundoff.
+    equals R @ dense(fine) @ P up to roundoff.  The Toeplitz blocks coarsen
+    by the five-point rule.  The coarse cross column is R M P e_c, and
+    P e_c is 1 at the fine cross index m and 1/2 at m - 1 and m + 1, so it
+    is the restriction of [p, o, xi] plus half the fine columns m - 1 and
+    m + 1; the cross row is the same on rows.  Coarsening commutes with
+    transposition bitwise (o aside, taken from the column), so a symmetric
+    level coarsens to an exactly symmetric one.
     """
     if fine.banded is not None:
         raise ValueError("coarsen_tpc handles the Toeplitz-plus-Cross part only")
@@ -121,28 +91,17 @@ def coarsen_tpc(fine):
 
     fa, fb, fc, fd = (fine.A.coeffs, fine.Bbar.coeffs, fine.Cbar.coeffs,
                       fine.Dbar.coeffs)
-    B = ToeplitzSpec(mc, _coarsen_sequence(fb, m, mc))
-    pc = _coarse_cross_column(fa, fb, fine.p, m, mc)
-    xic = _coarse_cross_column(fc, fd, fine.xi, m, mc)
-    if fine.symmetric:
-        # the five-point sum is not order-symmetric: building A and D from
-        # their mirrored l >= 0 halves keeps the coarse level exactly symmetric
-        A, D = (ToeplitzSpec(mc, _mirror(_coarsen_sequence(f, m, mc)[mc - 1:]))
-                for f in (fa, fd))
-        C = B.transpose()
-        qc, zetac = pc, xic
-    else:
-        A, C, D = (ToeplitzSpec(mc, _coarsen_sequence(f, m, mc))
-                   for f in (fa, fc, fd))
-        qc = _coarse_cross_row(fa, fc, fine.q, m, mc)
-        zetac = _coarse_cross_row(fb, fd, fine.zeta, m, mc)
-
-    # 8 o' = (a_0 + 2 p_m + b_{1-m}) + 2 (q_m + 2 o + zeta_1) + (c_{m-1} + 2 xi_1 + d_0)
-    oc = ((fa[m - 1] + 2.0 * fine.p[m - 1] + fb[0])
-          + 2.0 * (fine.q[m - 1] + 2.0 * fine.o + fine.zeta[0])
-          + (fc[2 * m - 2] + 2.0 * fine.xi[0] + fd[m - 1])) / 8.0
-
-    return TpcOperator(A, B, C, D, pc, qc, xic, zetac, oc)
+    A, B, C, D = (ToeplitzSpec(mc, _coarsen_sequence(f)) for f in (fa, fb, fc, fd))
+    # full[k] holds offset k - (m - 1): full[:m] runs over offsets 1-m..0 and
+    # full[m-1:] over 0..m-1
+    left = np.concatenate([fa[m - 1:][::-1], [fine.q[-1]], fc[m - 1:][::-1]])
+    right = np.concatenate([fb[:m][::-1], [fine.zeta[0]], fd[:m][::-1]])
+    col = restrict(fine.col + 0.5 * (left + right))
+    above = np.concatenate([fa[:m], [fine.p[-1]], fb[:m]])
+    below = np.concatenate([fc[m - 1:], [fine.xi[0]], fd[m - 1:]])
+    row = restrict(fine.row + 0.5 * (above + below))
+    return TpcOperator(A, B, C, D, col[:mc], row[:mc], col[mc + 1:],
+                       row[mc + 1:], col[mc])
 
 
 def coarsen_banded(fine):

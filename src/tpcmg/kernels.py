@@ -36,6 +36,7 @@ allocated per call.
 from __future__ import annotations
 
 import copy
+import numbers
 
 import numpy as np
 import scipy.fft as _fft
@@ -125,6 +126,8 @@ class ToeplitzSpec:
 
     def __init__(self, m, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
+        if not isinstance(m, numbers.Integral):
+            raise ValueError(f"m must be an integer, got {m!r}")
         if m < 1:
             raise ValueError("m must be positive")
         if coeffs.shape != (2 * m - 1,):

@@ -62,8 +62,9 @@ class PdModelConfig:
     def __post_init__(self):
         if self.N < 4 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 4, got {self.N}")
-        if self.delta != SQRT_H and not float(self.delta) > 0:
-            raise ValueError(f"delta must be positive or '{SQRT_H}'")
+        if self.delta != SQRT_H and not 0 < float(self.delta) < math.inf:
+            raise ValueError(f"delta must be positive and finite or '{SQRT_H}', "
+                             f"got {self.delta!r}")
         if self.r + 2 > self.N:
             raise ValueError(
                 f"stencil overflow: r+2 = {self.r + 2} exceeds N = {self.N}")

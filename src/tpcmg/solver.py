@@ -17,6 +17,7 @@ below the tolerance, or reports why it stopped short.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -54,6 +55,7 @@ class SmootherConfig:
             if not (math.isfinite(omega) and omega > 0):
                 raise ValueError(f"{name} must be positive and finite, got {omega}")
         for name in ("m1", "m2"):
+            _check_integer(name, getattr(self, name))
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.m1 == 0 and self.m2 == 0:
@@ -202,11 +204,18 @@ def vcycle(hier, b, cfg=None):
     return _cycle(hier, 0, b, cfg, _cycle_cache(hier, cfg))
 
 
+def _check_integer(name, value):
+    """Reject a count that is not an integer (a float such as 2.0 too)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_stopping(tol, max_iter):
     """Reject a stopping rule that solve cannot meet: tol must be positive
-    (not NaN) and max_iter at least 1."""
+    (not NaN) and max_iter an integer at least 1."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    _check_integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 

@@ -42,6 +42,13 @@ def tpc_pieces(op):
                 q=op.q, xi=op.xi, zeta=op.zeta, o=op.o, banded=op.banded)
 
 
+def transpose_tpc(op):
+    """The transpose of a banded-free op: blocks A^T, Cbar^T, Bbar^T and
+    Dbar^T, with p and q, and xi and zeta, trading places."""
+    return TpcOperator(op.A.transpose(), op.Cbar.transpose(), op.Bbar.transpose(),
+                       op.Dbar.transpose(), op.q, op.p, op.zeta, op.xi, op.o)
+
+
 def break_mirror(op, piece):
     """A copy of op whose mirror pair through ``piece`` is broken: Cbar one
     ulp off Bbar^T at offset 0, A or Dbar one ulp off palindromic at offset

@@ -189,6 +189,12 @@ class TestCli:
          "argument --out: invalid choice: 'csv'"),
         (["table", "--model", "pd-sym", "--N", "16", "--seed", "1"],
          "unrecognized arguments: --seed 1"),
+        (["table", "--model", "pd-sym", "--N", "32", "--delta", "inf"],
+         "delta must be positive and finite"),
+        (["table", "--model", "pd-sym", "--N", "32", "--delta", "1e400"],
+         "delta must be positive and finite"),
+        (["verify", "--model", "pd-sym", "--N", "32", "--delta", "inf"],
+         "delta must be positive and finite"),
     ])
     def test_invalid_argument_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
-"""Every name a public export list promises resolves on its module, and
-no module imports a name it never reads."""
+"""Every name a public export list promises resolves on its module, no
+module imports a name it never reads, and every private name the package
+defines is read somewhere in it."""
 
 import ast
 import importlib
@@ -14,8 +15,8 @@ import tpcmg
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(tpcmg.__path__)
                     if info.name != "__main__")
 
-SOURCES = sorted(pathlib.Path(tpcmg.__path__[0]).glob("*.py")) \
-    + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+PACKAGE_SOURCES = sorted(pathlib.Path(tpcmg.__path__[0]).glob("*.py"))
+SOURCES = PACKAGE_SOURCES + sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", ["tpcmg"] + [f"tpcmg.{m}" for m in SUBMODULES])
@@ -55,3 +56,58 @@ def test_unused_import_detected():
 def test_no_unused_imports(path):
     unused = unused_imports(path.read_text())
     assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+def _private_definitions(tree):
+    """_-prefixed (not dunder) names a module defines at top level, as
+    functions, classes or assigned constants, or as methods of its classes."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for leaf in (target.elts if isinstance(target, ast.Tuple) else [target]):
+                if isinstance(leaf, ast.Name):
+                    names.append(leaf.id)
+    return [name for name in names
+            if name.startswith("_") and not name.endswith("__")]
+
+
+def dead_private_names(sources):
+    """(module, name) of each private definition in ``sources`` (module
+    name -> source) that no module reads, as a name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted((module, name) for module, tree in trees.items()
+                  for name in _private_definitions(tree) if name not in read)
+
+
+def test_dead_private_name_detected():
+    sources = {
+        "a": "_LIMIT, _SPARE = 1, 2\n"
+             "def _used(): return _LIMIT\n"
+             "def _unused(): pass\n"
+             "class K:\n"
+             "    def __init__(self): self._helper()\n"
+             "    def _helper(self): pass\n"
+             "    def _orphan(self): pass\n",
+        "b": "from a import _used\nx = _used()\n",
+    }
+    assert dead_private_names(sources) == [("a", "_SPARE"), ("a", "_orphan"),
+                                           ("a", "_unused")]
+
+
+def test_no_dead_private_names():
+    dead = dead_private_names({path.name: path.read_text() for path in PACKAGE_SOURCES})
+    assert not dead, f"private names that nothing in tpcmg reads: {dead}"

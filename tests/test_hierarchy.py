@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 
 from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
                    ToeplitzSpec, TpcOperator, assemble_gamma_system,
-                   assemble_pd_system, build_hierarchy, coarsen_banded,
-                   coarsen_tpc, prolong, restrict)
+                   assemble_pd_system, build_hierarchy, build_step_operator,
+                   coarsen_banded, coarsen_tpc, prolong, restrict)
 from tpcmg.oracle import dense_galerkin, restriction_matrix, sym_eig_extremes
 
-from conftest import identity_spec, identity_tpc, random_tpc, zero_spec
+from conftest import (identity_spec, identity_tpc, random_tpc, transpose_tpc,
+                      zero_spec)
 
 
 # coarse matrix of the all-ones/identity worked example, frozen times 8;
@@ -92,6 +94,16 @@ class TestTransfer:
         with pytest.raises(ValueError, match="empty coarse vector"):
             prolong(np.ones(0))
 
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 3), (3, 1), ()])
+    def test_restrict_needs_1d(self, shape):
+        with pytest.raises(ValueError, match=rf"1-D .*shape {re.escape(str(shape))}"):
+            restrict(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 3), ()])
+    def test_prolong_needs_1d(self, shape):
+        with pytest.raises(ValueError, match=rf"1-D .*shape {re.escape(str(shape))}"):
+            prolong(np.ones(shape))
+
 
 class TestCoarsenTpc:
     def test_example_reproduction(self):
@@ -157,6 +169,22 @@ class TestCoarsenRandomised:
         assert coarse.symmetric == symmetric
 
     @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 6), short=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_coarsening_commutes_with_transpose(self, k, short, seed):
+        """coarsen(op^T) = coarsen(op)^T: bitwise in the blocks and the
+        cross lines, to roundoff in o (taken from the column of each)."""
+        rng = np.random.default_rng(seed)
+        fine = (_windowed_tpc if short else random_tpc)(rng, 2 ** k - 1, symmetric=False)
+        coarse, coarse_t = coarsen_tpc(fine), coarsen_tpc(transpose_tpc(fine))
+        for got, block in ((coarse_t.A, coarse.A), (coarse_t.Bbar, coarse.Cbar),
+                           (coarse_t.Cbar, coarse.Bbar), (coarse_t.Dbar, coarse.Dbar)):
+            assert np.array_equal(got.coeffs, block.transpose().coeffs)
+        for got, want in ((coarse_t.p, coarse.q), (coarse_t.q, coarse.p),
+                          (coarse_t.xi, coarse.zeta), (coarse_t.zeta, coarse.xi)):
+            assert np.array_equal(got, want)
+        assert abs(coarse_t.o - coarse.o) <= 1e-15 * np.abs(coarse.dense()).max()
+
+    @settings(max_examples=60, deadline=None)
     @given(k=st.integers(2, 6), bw=st.integers(0, 3), symmetric=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_banded_vs_dense_galerkin(self, k, bw, symmetric, seed):
@@ -199,6 +227,14 @@ class TestBuildHierarchy:
         for op in hier.levels:
             dense = op.dense()
             assert np.abs(dense - dense.T).max() <= 1e-12
+            assert op.symmetric
+
+    @pytest.mark.parametrize("delta", [0.25, "sqrt-h"])
+    def test_pd_sym_step_levels_keep_one_cross_line(self, delta):
+        system = assemble_pd_system(PdModelConfig(N=512, delta=delta, symmetric=True))
+        hier = build_hierarchy(build_step_operator(system, 1.0 / 512))
+        for op in hier.levels:
+            assert op.row is op.col
             assert op.symmetric
 
     def test_galerkin_master_invariant(self, rng):

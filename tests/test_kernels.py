@@ -103,6 +103,17 @@ class TestToeplitz:
         with pytest.raises(ValueError):
             toeplitz_matvec(spec, np.ones(5))
 
+    @pytest.mark.parametrize("m,match", [(2.5, "m must be an integer"),
+                                         (2.0, "m must be an integer"),
+                                         (0, "m must be positive")])
+    def test_bad_half_size_rejected(self, m, match):
+        with pytest.raises(ValueError, match=match):
+            ToeplitzSpec(m, np.ones(4))
+
+    def test_numpy_integer_half_size_accepted(self):
+        spec = ToeplitzSpec(np.int64(2), np.ones(3))
+        assert spec.m == 2 and spec.lo == -1
+
 
 class TestBanded:
     def test_matvec_vs_dense(self, rng):

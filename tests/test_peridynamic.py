@@ -56,6 +56,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             PdModelConfig(N=4, delta=0.9)
 
+    @pytest.mark.parametrize("delta", [float("inf"), float("1e400"), float("nan"),
+                                       0.0, -0.25])
+    def test_bad_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            PdModelConfig(N=64, delta=delta)
+
 
 class TestAssembly:
     def test_symmetric_row_one(self):

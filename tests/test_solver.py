@@ -61,6 +61,12 @@ class TestSmootherConfig:
         with pytest.raises(ValueError, match=name):
             SmootherConfig(**{name: -1})
 
+    @pytest.mark.parametrize("name", ["m1", "m2"])
+    @pytest.mark.parametrize("sweeps", [1.5, 1.0])
+    def test_non_integer_sweeps_rejected(self, name, sweeps):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SmootherConfig(**{name: sweeps})
+
     def test_no_sweeps_rejected(self):
         with pytest.raises(ValueError, match="m1 and m2"):
             SmootherConfig(m1=0, m2=0)
@@ -180,7 +186,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("kwargs,name", [({"tol": 0.0}, "tol"), ({"tol": -1e-15}, "tol"),
                                              ({"tol": np.nan}, "tol"),
-                                             ({"max_iter": 0}, "max_iter")])
+                                             ({"max_iter": 0}, "max_iter"),
+                                             ({"max_iter": 2.5}, "max_iter"),
+                                             ({"max_iter": 2.0}, "max_iter")])
     def test_bad_stopping_rule_rejected(self, rng, kwargs, name):
         hier, op = spd_hierarchy(8, 1)
         with pytest.raises(ValueError, match=name):

@@ -3,7 +3,7 @@
 run_table produces the standard convergence-study layout (max-norm error at
 T = 1, observed order, solve-phase wall time, average AMG iterations per
 step with tau = h = 1/N); run_verify evaluates the dense convergence-theory
-checks; run_scaling measures matvec and V-cycle cost growth.  Output is
+checks; run_scaling measures set-up, matvec and V-cycle cost growth.  Output is
 CSV, JSON or pretty text; error/rate/iteration columns are deterministic.
 """
 
@@ -170,7 +170,9 @@ def _median_time(fn, reps):
 
 def run_scaling(model, Ns, gamma=0.0, delta=0.25, reps=5, coarsest=7,
                 dense_compare_N=None):
-    """Time one structured matvec and one V-cycle per N (median of reps).
+    """Time set-up, one structured matvec and one V-cycle per N (median of
+    reps); set-up is assembly, the tau = h step operator and the hierarchy
+    build.
 
     Returns a dict with per-N timings, consecutive time(2N)/time(N) growth
     ratios, hierarchy storage counts, and optionally a dense comparison:
@@ -181,23 +183,28 @@ def run_scaling(model, Ns, gamma=0.0, delta=0.25, reps=5, coarsest=7,
         raise ValueError(f"reps must be at least 1, got {reps}")
     rows = []
     for N in Ns:
-        problem = _make_problem(model, N, gamma, delta)
-        op = build_step_operator(problem.system, 1.0 / N)
-        hier = build_hierarchy(op, coarsest)
+        def setup():
+            problem = _make_problem(model, N, gamma, delta)
+            return build_hierarchy(build_step_operator(problem.system, 1.0 / N),
+                                   coarsest)
+
+        hier = setup()
+        op = hier.finest
+        t_setup = _median_time(setup, reps)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(op.n)
         op.matvec(x)                      # warm the cached transforms
         vcycle(hier, x)
         t_mv = _median_time(lambda: op.matvec(x), reps)
         t_vc = _median_time(lambda: vcycle(hier, x), reps)
-        rows.append({"N": N, "n": op.n, "matvec": t_mv, "vcycle": t_vc,
-                     "storage": hier.coefficient_storage(),
+        rows.append({"N": N, "n": op.n, "setup": t_setup, "matvec": t_mv,
+                     "vcycle": t_vc, "storage": hier.coefficient_storage(),
                      "levels": hier.depth})
     ratios = []
     for a, b in zip(rows, rows[1:]):
         if b["N"] == 2 * a["N"]:
-            ratios.append({"N": a["N"], "matvec": b["matvec"] / a["matvec"],
-                           "vcycle": b["vcycle"] / a["vcycle"]})
+            ratios.append({"N": a["N"]} | {key: b[key] / a[key] for key in
+                                           ("setup", "matvec", "vcycle")})
     out = {"model": model, "rows": rows, "ratios": ratios}
     if dense_compare_N:
         problem = _make_problem(model, dense_compare_N, gamma, delta)

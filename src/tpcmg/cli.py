@@ -3,7 +3,7 @@
 Subcommands:
   table    march the manufactured problem and print N/error/rate/cpu/iter
   verify   run the dense convergence-theory certification checks
-  scaling  time matvecs and V-cycles across sizes
+  scaling  time set-up, matvecs and V-cycles across sizes
 
 Exit codes: 0 success, 1 criteria failure, 2 usage error.
 """
@@ -130,11 +130,12 @@ def main(argv=None):
             sys.stdout.write("\n")
         else:
             for row in out["rows"]:
-                print(f"N={row['N']:>7} n={row['n']:>7} matvec={row['matvec']*1e3:9.3f}ms "
+                print(f"N={row['N']:>7} n={row['n']:>7} setup={row['setup']*1e3:9.3f}ms "
+                      f"matvec={row['matvec']*1e3:9.3f}ms "
                       f"vcycle={row['vcycle']*1e3:9.3f}ms levels={row['levels']} "
                       f"storage={row['storage']}")
             for ratio in out["ratios"]:
-                print(f"growth {ratio['N']} -> {2*ratio['N']}: "
+                print(f"growth {ratio['N']} -> {2*ratio['N']}: setup x{ratio['setup']:.2f} "
                       f"matvec x{ratio['matvec']:.2f} vcycle x{ratio['vcycle']:.2f}")
             if "dense_compare" in out:
                 d = out["dense_compare"]

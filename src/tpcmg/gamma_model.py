@@ -17,6 +17,7 @@ constants.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import comb
 
@@ -43,12 +44,14 @@ class GammaModelConfig:
     gamma: float
 
     def __post_init__(self):
+        if not isinstance(self.N, numbers.Integral):
+            raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 4 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 4, got {self.N}")
         # gamma = 0 is admitted: the coefficient formulas are continuous there
         # and the reported experiments include it.
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
+        if not (isinstance(self.gamma, numbers.Real) and 0.0 <= self.gamma < 1.0):
+            raise ValueError(f"gamma must be in [0, 1), got {self.gamma!r}")
 
     @property
     def h(self):
@@ -103,6 +106,11 @@ def gamma_coefficients(gamma, count):
     evaluated at half-integer arguments k = i/2.  Every formula is certified
     against an adaptive-quadrature assembly of the basis integrals in the
     test suite.
+
+    The arguments are all half-integers j/2 with 0 <= j <= 2N + 2, so the
+    three powers (j/2)^{3-g}, (j/2)^{2-g} and (j/2)^{1-g} are computed once
+    each into one half-integer power table, and each family reads shifted
+    slices of it (stride 2 for the block tables, stride 1 for eta).
     """
     g = float(gamma)
     if not 0.0 <= g < 1.0:
@@ -111,28 +119,36 @@ def gamma_coefficients(gamma, count):
     if N < 1:
         raise ValueError("count must be >= 1")
     s3, s2, s1 = 3.0 - g, 2.0 - g, 1.0 - g
+    half = np.arange(2 * N + 3) / 2.0
+    t3, t2, t1 = half ** s3, half ** s2, half ** s1
 
-    def mfun(k):
-        return 4.0 * ((k + 1) ** s3 - (k - 1) ** s3) \
-            - s3 * ((k + 1) ** s2 + 6.0 * k ** s2 + (k - 1) ** s2)
+    # arguments(start, count, step) stands for k = j/2, j = start,
+    # start + step, ... (count of them); the reader it returns, at(t, o),
+    # gives table t at the arguments k + o/2.
+    def arguments(start, count, step=2):
+        return lambda t, o=0: t[start + o:start + o + step * count:step]
 
-    def qfun(k):
-        return -8.0 * ((k + 1) ** s3 - k ** s3) + 4.0 * s3 * ((k + 1) ** s2 + k ** s2)
+    def mfun(at):
+        return 4.0 * (at(t3, 2) - at(t3, -2)) \
+            - s3 * (at(t2, 2) + 6.0 * at(t2) + at(t2, -2))
 
-    def etafun(k):
-        return 4.0 * (k ** s3 - (k - 1) ** s3) \
-            - s3 * (3.0 * k ** s2 + (k - 1) ** s2 - s2 * k ** s1)
+    def qfun(at):
+        return -8.0 * (at(t3, 2) - at(t3)) + 4.0 * s3 * (at(t2, 2) + at(t2))
 
-    ks = np.arange(1, max(N, 2), dtype=float)
-    m = np.concatenate([[2.0 * (1.0 + g)], mfun(ks[:N - 2])])
-    n = np.concatenate([[s2 * 2.0 ** (g + 1.0)], qfun(ks[:N - 1] - 0.5)])
+    def etafun(at):
+        return 4.0 * (at(t3) - at(t3, -2)) \
+            - s3 * (3.0 * at(t2) + at(t2, -2) - s2 * at(t1))
+
+    inner = max(N - 2, 0)
+    m = np.concatenate([[2.0 * (1.0 + g)], mfun(arguments(2, inner))])
+    n = np.concatenate([[s2 * 2.0 ** (g + 1.0)], qfun(arguments(1, N - 1))])
     p0 = 2.0 ** (g - 2.0) * (9.0 * (3.0 + g) * 3.0 ** (-g) + 7.0 * g - 19.0)
-    p = np.concatenate([[p0], mfun(ks[:N - 2] + 0.5)])
-    q = qfun(np.arange(max(N - 1, 1), dtype=float))
+    p = np.concatenate([[p0], mfun(arguments(3, inner))])
+    q = qfun(arguments(0, max(N - 1, 1)))
 
-    half = np.arange(1, 2 * N) / 2.0
-    d = s3 * s2 * (half ** s1 + (N - half) ** s1)
-    eta = np.concatenate([[s2 * s1 * 2.0 ** (g - 1.0)], etafun(half[1:])])
+    d = s3 * s2 * (t1[1:2 * N] + t1[2 * N - 1:0:-1])    # i/2 and N - i/2
+    eta = np.concatenate([[s2 * s1 * 2.0 ** (g - 1.0)],
+                          etafun(arguments(2, 2 * N - 2, 1))])
     return GammaCoefficients(m=m, n=n, p=p, q=q, d=d, eta=eta)
 
 

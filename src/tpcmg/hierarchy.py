@@ -25,19 +25,18 @@ __all__ = [
     "build_hierarchy",
 ]
 
+_FULL_WEIGHTING = np.array([0.25, 0.5, 0.25])
+
+
 def restrict(x):
-    """Full weighting: (Rx)_i = (x_{2i-1} + 2 x_{2i} + x_{2i+1}) / 4, built
-    in one fresh array."""
+    """Full weighting: (Rx)_i = (x_{2i-1} + 2 x_{2i} + x_{2i+1}) / 4, the
+    stencil's correlation with x kept at every other point."""
     x = np.asarray(x, dtype=float)
     n = x.size
     if x.ndim != 1 or n % 2 == 0 or n < 3:
         raise ValueError("restriction needs a 1-D array of odd length >= 3, "
                          f"got shape {x.shape}")
-    out = x[1::2] * 2.0
-    out += x[:-2:2]
-    out += x[2::2]
-    out *= 0.25
-    return out
+    return np.correlate(x, _FULL_WEIGHTING)[::2]
 
 
 def prolong(x):
@@ -109,6 +108,8 @@ def coarsen_banded(fine):
 
     Coarse entry (i, j) = (1/8) sum over the 3x3 neighbourhood of fine
     entries (2i+da, 2j+db) with weights [1,2,1] x [1,2,1]; O(beta * n).
+    Band l stores entry (r, r + l) at index min(r, r + l), so each term
+    reads one stride-2 slice of a fine band.
     """
     n = fine.n
     nc = (n - 1) // 2
@@ -120,17 +121,15 @@ def coarsen_banded(fine):
     for lc in range(-bwc, bwc + 1):
         count = nc - abs(lc)
         acc = np.zeros(count)
-        ic = np.arange(count)
-        rows = 2 * (ic + max(0, -lc)) + 1     # fine row of the coarse entry's pivot
-        cols = rows + 2 * lc
+        row = 2 * max(0, -lc) + 1     # fine row of the first coarse entry's pivot
         for da, wa in weights:
             for db, wb in weights:
                 lf = 2 * lc + db - da
                 band = fine.band(lf)
                 if band is None:
                     continue
-                k = np.minimum(rows + da, cols + db)
-                acc += (wa * wb / 8.0) * band[k]
+                start = row + da if lf >= 0 else row + 2 * lc + db
+                acc += (wa * wb / 8.0) * band[start:start + 2 * count - 1:2]
         if np.any(acc):
             bands[lc] = acc
     return BandedCorrection(nc, bands)

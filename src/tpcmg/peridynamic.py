@@ -25,6 +25,7 @@ fold costs O(r log r) per step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,12 @@ class PdModelConfig:
     symmetric: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.N, numbers.Integral):
+            raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 4 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 4, got {self.N}")
-        if self.delta != SQRT_H and not 0 < float(self.delta) < math.inf:
+        if self.delta != SQRT_H and not (isinstance(self.delta, numbers.Real)
+                                         and 0 < self.delta < math.inf):
             raise ValueError(f"delta must be positive and finite or '{SQRT_H}', "
                              f"got {self.delta!r}")
         if self.r + 2 > self.N:

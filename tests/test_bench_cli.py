@@ -81,6 +81,9 @@ class TestRunScaling:
         out = run_scaling("pd-sym", [64, 128], delta=0.25, reps=3)
         assert len(out["rows"]) == 2
         assert len(out["ratios"]) == 1
+        assert all(row["setup"] > 0 for row in out["rows"])
+        ratio = out["ratios"][0]
+        assert ratio["setup"] == out["rows"][1]["setup"] / out["rows"][0]["setup"]
         assert out["rows"][0]["storage"] <= 8 * out["rows"][0]["n"]
 
     def test_no_repetitions_rejected(self):
@@ -153,7 +156,9 @@ class TestCli:
         code = main(["scaling", "--model", "pd-sym", "--N", "64", "--N", "128",
                      "--delta", "0.25", "--reps", "2"])
         assert code == 0
-        assert "growth" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "growth" in out
+        assert out.count("setup=") == 2 and out.count("setup x") == 1
 
     def test_sqrt_h_delta(self, capsys):
         code = main(["table", "--model", "pd-sym", "--N", "16",

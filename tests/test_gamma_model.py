@@ -6,6 +6,25 @@ from tpcmg import GammaModelConfig, assemble_gamma_system, gamma_coefficients, g
 from tpcmg.oracle import gamma_dense_reference, gamma_forcing_quadrature
 
 
+def closed_forms(g):
+    """m_k, q_k and eta_k of gamma_coefficients, each evaluated on its own
+    argument array k."""
+    s3, s2, s1 = 3.0 - g, 2.0 - g, 1.0 - g
+
+    def mfun(k):
+        return 4.0 * ((k + 1) ** s3 - (k - 1) ** s3) \
+            - s3 * ((k + 1) ** s2 + 6.0 * k ** s2 + (k - 1) ** s2)
+
+    def qfun(k):
+        return -8.0 * ((k + 1) ** s3 - k ** s3) + 4.0 * s3 * ((k + 1) ** s2 + k ** s2)
+
+    def etafun(k):
+        return 4.0 * (k ** s3 - (k - 1) ** s3) \
+            - s3 * (3.0 * k ** s2 + (k - 1) ** s2 - s2 * k ** s1)
+
+    return mfun, qfun, etafun
+
+
 class TestCoefficients:
     def test_gamma_zero_heads(self):
         co = gamma_coefficients(0.0, 8)
@@ -19,15 +38,7 @@ class TestCoefficients:
         # p_k = m_{k+1/2} and n_k = q_{k-1/2} for k >= 1
         g = 0.37
         co = gamma_coefficients(g, 16)
-        s3, s2 = 3 - g, 2 - g
-
-        def mfun(k):
-            return 4 * ((k + 1) ** s3 - (k - 1) ** s3) \
-                - s3 * ((k + 1) ** s2 + 6 * k ** s2 + (k - 1) ** s2)
-
-        def qfun(k):
-            return -8 * ((k + 1) ** s3 - k ** s3) + 4 * s3 * ((k + 1) ** s2 + k ** s2)
-
+        mfun, qfun, _ = closed_forms(g)
         for k in (1, 2, 5):
             assert co.p[k] == pytest.approx(mfun(k + 0.5), rel=1e-14)
             assert co.n[k] == pytest.approx(qfun(k - 0.5), rel=1e-14)
@@ -94,6 +105,28 @@ class TestCoefficients:
         assert coupling(xh2, phi_int(0)) == pytest.approx(co.eta[2], abs=1e-9)
         assert coupling(2 * h, phi_int(0)) == pytest.approx(co.eta[3], abs=1e-9)
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 1024, 2 ** 15])
+    @pytest.mark.parametrize("g", [0.0, 0.1, 0.5, 0.9, 0.99])
+    def test_families_equal_closed_forms(self, N, g):
+        """The power-table slices give bitwise the values of the closed
+        forms evaluated at every argument k."""
+        s2, s1 = 2.0 - g, 1.0 - g
+        mfun, qfun, etafun = closed_forms(g)
+        ks = np.arange(1, max(N, 2), dtype=float)
+        half = np.arange(1, 2 * N) / 2.0
+        p0 = 2.0 ** (g - 2.0) * (9.0 * (3.0 + g) * 3.0 ** (-g) + 7.0 * g - 19.0)
+        want = {
+            "m": np.concatenate([[2.0 * (1.0 + g)], mfun(ks[:N - 2])]),
+            "n": np.concatenate([[s2 * 2.0 ** (g + 1.0)], qfun(ks[:N - 1] - 0.5)]),
+            "p": np.concatenate([[p0], mfun(ks[:N - 2] + 0.5)]),
+            "q": qfun(np.arange(max(N - 1, 1), dtype=float)),
+            "d": (3.0 - g) * s2 * (half ** s1 + (N - half) ** s1),
+            "eta": np.concatenate([[s2 * s1 * 2.0 ** (g - 1.0)], etafun(half[1:])]),
+        }
+        co = gamma_coefficients(g, N)
+        for name, values in want.items():
+            assert np.array_equal(getattr(co, name), values), name
+
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError):
             gamma_coefficients(1.0, 8)
@@ -129,6 +162,20 @@ class TestAssembly:
             GammaModelConfig(N=6, gamma=0.5)
         with pytest.raises(ValueError):
             GammaModelConfig(N=8, gamma=1.0)
+
+    @pytest.mark.parametrize("N", [64.0, "64", None, 8.5])
+    def test_non_integer_N_rejected_by_name(self, N):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            GammaModelConfig(N=N, gamma=0.5)
+
+    @pytest.mark.parametrize("gamma", ["abc", "0.5", None, float("nan"), 1j])
+    def test_bad_gamma_rejected_by_name(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be in"):
+            GammaModelConfig(N=64, gamma=gamma)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = GammaModelConfig(N=np.int64(64), gamma=np.float64(0.5))
+        assert cfg.h == 1.0 / 64
 
 
 class TestForcing:

@@ -71,6 +71,12 @@ class TestTransfer:
         xc = rng.standard_normal((n - 1) // 2)
         assert np.allclose(prolong(xc), 2.0 * R.T @ xc)
 
+    @pytest.mark.parametrize("n", [3, 5, 127, 1023])
+    def test_restrict_equals_stencil_sum(self, rng, n):
+        """Bitwise the sum (x_{2i-1} + 2 x_{2i}) + x_{2i+1}, then / 4."""
+        x = rng.standard_normal(n)
+        assert np.array_equal(restrict(x), (x[:-2:2] + 2.0 * x[1::2] + x[2::2]) * 0.25)
+
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
             restrict(np.ones(8))
@@ -192,6 +198,34 @@ class TestCoarsenRandomised:
         bc = random_tpc(rng, 2 ** k - 1, symmetric=symmetric, banded_bw=bw).banded
         truth = dense_galerkin(bc.dense())
         assert np.abs(coarsen_banded(bc).dense() - truth).max() <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 6), bw=st.integers(0, 3), symmetric=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_banded_equals_index_gather(self, k, bw, symmetric, seed):
+        """The strided slices read bitwise what an index-array gather of
+        band[min(row, col)] over every coarse entry reads."""
+        rng = np.random.default_rng(seed)
+        bc = random_tpc(rng, 2 ** k - 1, symmetric=symmetric, banded_bw=bw).banded
+        nc = (bc.n - 1) // 2
+        bwc = min(nc - 1, (bc.bandwidth + 2) // 2) if bc.bands else 0
+        weights = ((-1, 1.0), (0, 2.0), (1, 1.0))
+        want = {}
+        for lc in range(-bwc, bwc + 1):
+            count = nc - abs(lc)
+            acc = np.zeros(count)
+            rows = 2 * (np.arange(count) + max(0, -lc)) + 1
+            cols = rows + 2 * lc
+            for da, wa in weights:
+                for db, wb in weights:
+                    band = bc.band(2 * lc + db - da)
+                    if band is not None:
+                        acc += (wa * wb / 8.0) * band[np.minimum(rows + da, cols + db)]
+            if np.any(acc):
+                want[lc] = acc
+        got = coarsen_banded(bc).bands
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[l], want[l]) for l in want)
 
 
 class TestCoarsenBanded:

@@ -62,6 +62,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             PdModelConfig(N=64, delta=delta)
 
+    @pytest.mark.parametrize("delta", ["abc", "0.25", None, 1j])
+    def test_non_number_delta_rejected_by_name(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            PdModelConfig(N=64, delta=delta)
+
+    @pytest.mark.parametrize("N", [64.0, "64", None, 8.5])
+    def test_non_integer_N_rejected_by_name(self, N):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            PdModelConfig(N=N, delta=0.25)
+
+    def test_numpy_scalars_accepted(self):
+        assert PdModelConfig(N=np.int64(64), delta=np.float64(0.25)).r == 16
+
 
 class TestAssembly:
     def test_symmetric_row_one(self):

@@ -190,13 +190,13 @@ def run_scaling(model, Ns, gamma=0.0, delta=0.25, reps=5, coarsest=7,
 
         hier = setup()
         op = hier.finest
-        t_setup = _median_time(setup, reps)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(op.n)
         op.matvec(x)                      # warm the cached transforms
         vcycle(hier, x)
         t_mv = _median_time(lambda: op.matvec(x), reps)
         t_vc = _median_time(lambda: vcycle(hier, x), reps)
+        t_setup = _median_time(setup, reps)
         rows.append({"N": N, "n": op.n, "setup": t_setup, "matvec": t_mv,
                      "vcycle": t_vc, "storage": hier.coefficient_storage(),
                      "levels": hier.depth})

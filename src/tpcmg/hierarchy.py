@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _FULL_WEIGHTING = np.array([0.25, 0.5, 0.25])
+_FULL_WEIGHTING.flags.writeable = False
 
 
 def restrict(x):

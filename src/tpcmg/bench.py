@@ -206,7 +206,7 @@ def run_scaling(model, Ns, gamma=0.0, delta=0.25, reps=5, coarsest=7,
             ratios.append({"N": a["N"]} | {key: b[key] / a[key] for key in
                                            ("setup", "matvec", "vcycle")})
     out = {"model": model, "rows": rows, "ratios": ratios}
-    if dense_compare_N:
+    if dense_compare_N is not None:
         problem = _make_problem(model, dense_compare_N, gamma, delta)
         op = build_step_operator(problem.system, 1.0 / dense_compare_N)
         rng = np.random.default_rng(0)

@@ -85,6 +85,12 @@ def _check_args(args):
     r = getattr(args, "r", None)
     for N in args.N:
         model_config(args.model, N, args.gamma, args.delta if r is None else r / N)
+    dense_N = getattr(args, "dense_compare_N", None)
+    if dense_N is not None:
+        try:
+            model_config(args.model, dense_N, args.gamma, args.delta)
+        except ValueError as exc:
+            raise ValueError(f"--dense-compare-N: {exc}") from None
     return smoother
 
 

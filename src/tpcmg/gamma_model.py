@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .kernels import BandedCorrection, ToeplitzSpec, TpcOperator
+from .kernels import BandedCorrection, ToeplitzSpec, TpcOperator, _check_integer
 
 __all__ = [
     "GammaModelConfig",
@@ -44,8 +44,7 @@ class GammaModelConfig:
     gamma: float
 
     def __post_init__(self):
-        if not isinstance(self.N, numbers.Integral):
-            raise ValueError(f"N must be an integer, got {self.N!r}")
+        _check_integer("N", self.N)
         if self.N < 4 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 4, got {self.N}")
         # gamma = 0 is admitted: the coefficient formulas are continuous there

@@ -4,9 +4,10 @@ Restriction is the full-weighting [1,2,1]/4 stencil applied directly to the
 block-ordered vector (no reordering), prolongation is twice its transpose.
 The Galerkin product R A P of a Toeplitz-plus-Cross operator is again
 Toeplitz-plus-Cross and is built here in one closed form for every level,
-symmetric or not, in O(n) per level; the banded part coarsens by direct
-stencil convolution.  Both closed forms agree with the dense triple
-product to roundoff, which is the module's master invariant.
+symmetric or not, in O(n) per level; a banded part coarsens by direct
+stencil convolution in the same call, so coarsen_tpc returns whole levels.
+Both closed forms agree with the dense triple product to roundoff, which is
+the module's master invariant.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .kernels import BandedCorrection, ToeplitzSpec, TpcOperator
+from .kernels import BandedCorrection, ToeplitzSpec, TpcOperator, _check_integer
 
 __all__ = [
     "restrict",
@@ -71,7 +72,7 @@ def _coarsen_sequence(full):
 
 
 def coarsen_tpc(fine):
-    """Galerkin-coarsen a banded-free Toeplitz-plus-Cross operator.
+    """Galerkin-coarsen a Toeplitz-plus-Cross operator, banded part included.
 
     Returns the coarse operator with half-size (m-1)/2; its dense expansion
     equals R @ dense(fine) @ P up to roundoff.  The Toeplitz blocks coarsen
@@ -80,10 +81,9 @@ def coarsen_tpc(fine):
     is the restriction of [p, o, xi] plus half the fine columns m - 1 and
     m + 1; the cross row is the same on rows.  Coarsening commutes with
     transposition bitwise (o aside, taken from the column), so a symmetric
-    level coarsens to an exactly symmetric one.
+    level coarsens to an exactly symmetric one.  A banded part coarsens by
+    coarsen_banded.
     """
-    if fine.banded is not None:
-        raise ValueError("coarsen_tpc handles the Toeplitz-plus-Cross part only")
     m = fine.m
     if fine.n < 7 or m % 2 == 0:
         raise ValueError(f"coarsest level reached: cannot coarsen size {fine.n}")
@@ -100,8 +100,9 @@ def coarsen_tpc(fine):
     above = np.concatenate([fa[:m], [fine.p[-1]], fb[:m]])
     below = np.concatenate([fc[m - 1:], [fine.xi[0]], fd[m - 1:]])
     row = restrict(fine.row + 0.5 * (above + below))
+    banded = None if fine.banded is None else coarsen_banded(fine.banded)
     return TpcOperator(A, B, C, D, col[:mc], row[:mc], col[mc + 1:],
-                       row[mc + 1:], col[mc])
+                       row[mc + 1:], col[mc], banded=banded)
 
 
 def coarsen_banded(fine):
@@ -134,15 +135,6 @@ def coarsen_banded(fine):
         if np.any(acc):
             bands[lc] = acc
     return BandedCorrection(nc, bands)
-
-
-def _coarsen_level(op):
-    coarse = coarsen_tpc(op.without_banded())
-    if op.banded is not None:
-        cb = coarsen_banded(op.banded)
-        if cb.bands:
-            coarse = coarse.with_banded(cb)
-    return coarse
 
 
 def _factor_coarsest(op):
@@ -198,9 +190,10 @@ def build_hierarchy(finest, coarsest_size_limit=7):
     n = finest.n
     if n < 3 or (n + 1) & n:
         raise ValueError(f"finest size must be 2^(K+1)-1, got {n}")
+    _check_integer("coarsest_size_limit", coarsest_size_limit)
     if coarsest_size_limit < 3:
         raise ValueError("coarsest size limit must be at least 3")
     levels = [finest]
     while levels[-1].n > coarsest_size_limit:
-        levels.append(_coarsen_level(levels[-1]))
+        levels.append(coarsen_tpc(levels[-1]))
     return Hierarchy(levels)

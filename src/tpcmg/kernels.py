@@ -35,7 +35,6 @@ allocated per call.
 
 from __future__ import annotations
 
-import copy
 import numbers
 
 import numpy as np
@@ -83,6 +82,12 @@ def _agrees_with_scipy(rfft, irfft):
 _rfft, _irfft = _transform_pair()
 
 
+def _check_integer(name, value):
+    """Reject a count that is not an integer (a float such as 2.0 too)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 # Above this embedding length the block kernel transforms its two rows one
 # at a time.  In a gamma N = 2^15 BDF4 march, batching the n = 65535 level's
 # (2, 65536) buffers (1 MiB) cost 5400-6400 minor page faults per step;
@@ -126,8 +131,7 @@ class ToeplitzSpec:
 
     def __init__(self, m, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
-        if not isinstance(m, numbers.Integral):
-            raise ValueError(f"m must be an integer, got {m!r}")
+        _check_integer("m", m)
         if m < 1:
             raise ValueError("m must be positive")
         if coeffs.shape != (2 * m - 1,):
@@ -295,7 +299,8 @@ class TpcOperator:
         [ Cbar   xi  Dbar ]
 
     with A, Bbar, Cbar, Dbar square Toeplitz blocks of size m, the cross
-    row/column through index m+1, plus an optional banded correction.
+    row/column through index m+1, plus an optional banded correction (one
+    with no bands is stored as None).
 
     ``symmetric`` is read from the data, not declared: it is true when A
     and Dbar are palindromic about offset 0, Cbar's window is Bbar's
@@ -323,8 +328,11 @@ class TpcOperator:
         self.q, self.zeta = self.row[:m], self.row[m + 1:]
         self.o = float(self.col[m])
         self._check_finite()
+        if banded is not None:
+            self._check_banded(banded)
+            if not banded.bands:
+                banded = None
         self.banded = banded
-        self._check_banded()
         self.symmetric = self._is_symmetric()
         self._symbols = None
 
@@ -345,10 +353,7 @@ class TpcOperator:
         raise ValueError(f"operator of size n = {self.n} has non-finite "
                          f"entries in {piece}")
 
-    def _check_banded(self):
-        banded = self.banded
-        if banded is None:
-            return
+    def _check_banded(self, banded):
         if banded.n != self.n:
             raise ValueError(f"banded correction size {banded.n} != {self.n}")
         for l, band in banded.bands.items():
@@ -479,20 +484,6 @@ class TpcOperator:
             shifted(self.Dbar), self.p * scale, self.q * scale,
             self.xi * scale, self.zeta * scale, scale * self.o + shift,
             banded=None if self.banded is None else self.banded.scaled(scale))
-
-    def without_banded(self):
-        return self if self.banded is None else self.with_banded(None)
-
-    def with_banded(self, banded):
-        """This operator with its banded part replaced (None drops it).  The
-        Toeplitz-plus-Cross pieces, already checked, are shared with self
-        together with their symbol cache; only the new banded part is
-        checked, and the symmetry read again."""
-        out = copy.copy(self)
-        out.banded = banded
-        out._check_banded()
-        out.symmetric = out._is_symmetric()
-        return out
 
     @property
     def stored_count(self):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .kernels import ToeplitzSpec, TpcOperator, _irfft, _rfft
+from .kernels import ToeplitzSpec, TpcOperator, _check_integer, _irfft, _rfft
 
 __all__ = [
     "PdModelConfig",
@@ -61,8 +61,7 @@ class PdModelConfig:
     symmetric: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.N, numbers.Integral):
-            raise ValueError(f"N must be an integer, got {self.N!r}")
+        _check_integer("N", self.N)
         if self.N < 4 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 4, got {self.N}")
         if self.delta != SQRT_H and not (isinstance(self.delta, numbers.Real)

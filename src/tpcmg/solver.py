@@ -17,7 +17,6 @@ below the tolerance, or reports why it stopped short.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .hierarchy import Hierarchy, prolong, restrict
+from .kernels import _check_integer
 
 __all__ = [
     "SmootherConfig",
@@ -204,12 +204,6 @@ def vcycle(hier, b, cfg=None):
     return _cycle(hier, 0, b, cfg, _cycle_cache(hier, cfg))
 
 
-def _check_integer(name, value):
-    """Reject a count that is not an integer (a float such as 2.0 too)."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_stopping(tol, max_iter):
     """Reject a stopping rule that solve cannot meet: tol must be positive
     (not NaN) and max_iter an integer at least 1."""
@@ -285,6 +279,8 @@ def tgm_factor_estimate(hier, trials=5, max_cycles=60, seed=0, cfg=None):
     settles; the maximum over trials is returned.  Requires the symmetric
     SPD variant (the A-norm is not defined otherwise).
     """
+    _check_integer("trials", trials)
+    _check_integer("max_cycles", max_cycles)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if max_cycles < 1:

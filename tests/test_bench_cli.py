@@ -200,6 +200,10 @@ class TestCli:
          "delta must be positive and finite"),
         (["verify", "--model", "pd-sym", "--N", "32", "--delta", "inf"],
          "delta must be positive and finite"),
+        (["scaling", "--model", "pd-sym", "--N", "16", "--dense-compare-N", "6"],
+         "--dense-compare-N: N must be a power of two >= 4, got 6"),
+        (["scaling", "--model", "pd-sym", "--N", "16", "--dense-compare-N", "0"],
+         "--dense-compare-N: N must be a power of two >= 4, got 0"),
     ])
     def test_invalid_argument_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

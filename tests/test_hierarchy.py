@@ -138,9 +138,13 @@ class TestCoarsenTpc:
         with pytest.raises(ValueError):
             coarsen_tpc(random_tpc(rng, 1))
 
-    def test_banded_rejected(self, rng):
-        with pytest.raises(ValueError):
-            coarsen_tpc(random_tpc(rng, 7, banded_bw=0))
+    def test_banded_vs_dense_galerkin(self, rng):
+        for bw in range(4):
+            for symmetric in (False, True):
+                fine = random_tpc(rng, 15, symmetric=symmetric, banded_bw=bw)
+                coarse = coarsen_tpc(fine)
+                truth = dense_galerkin(fine.dense())
+                assert np.abs(coarse.dense() - truth).max() <= 1e-12
 
 
 def _windowed_tpc(rng, m, symmetric):
@@ -321,3 +325,8 @@ class TestBuildHierarchy:
     def test_bad_finest_size(self, rng):
         with pytest.raises(ValueError):
             build_hierarchy(random_tpc(rng, 6))
+
+    @pytest.mark.parametrize("limit", [float("nan"), "7", 3.5, 7.0])
+    def test_non_integer_coarsest_size_limit(self, rng, limit):
+        with pytest.raises(ValueError, match="coarsest_size_limit must be an integer"):
+            build_hierarchy(random_tpc(rng, 7), limit)

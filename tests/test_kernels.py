@@ -173,11 +173,18 @@ class TestTpcOperator:
         assert op.symmetric
         assert not break_mirror(op, piece).symmetric
 
-    def test_with_banded_reads_symmetry_again(self, rng):
-        op = random_tpc(rng, 7, symmetric=True)
-        lower = BandedCorrection(op.n, {-1: np.ones(op.n - 1)})
-        assert not op.with_banded(lower).symmetric
-        assert op.with_banded(lower).without_banded().symmetric
+    def test_banded_part_read_for_symmetry(self, rng):
+        parts = tpc_pieces(random_tpc(rng, 7, symmetric=True))
+        lower = BandedCorrection(2 * 7 + 1, {-1: np.ones(2 * 7)})
+        assert not TpcOperator(**dict(parts, banded=lower)).symmetric
+        assert TpcOperator(**parts).symmetric
+
+    def test_empty_banded_part_reads_as_none(self, rng):
+        parts = tpc_pieces(random_tpc(rng, 7, symmetric=True))
+        op = TpcOperator(**dict(parts, banded=BandedCorrection(2 * 7 + 1, {})))
+        assert op.banded is None
+        assert op.symmetric
+        assert op.stored_count == TpcOperator(**parts).stored_count
 
     @pytest.mark.parametrize("piece", ["p", "q", "xi", "zeta"])
     def test_caller_cross_arrays_not_shared(self, rng, piece):
@@ -251,12 +258,12 @@ class TestTpcOperator:
         batched = op.matvec(x)
         assert np.abs(by_row - batched).max() <= 1e-13 * np.abs(batched).max()
 
-    def test_non_finite_banded_rejected_by_with_banded(self, rng):
-        op = random_tpc(rng, 5)
-        band = np.ones(op.n)
+    def test_non_finite_banded_rejected(self, rng):
+        parts = tpc_pieces(random_tpc(rng, 5))
+        band = np.ones(2 * 5 + 1)
         band[0] = np.nan
         with pytest.raises(ValueError, match="banded band 0"):
-            op.with_banded(BandedCorrection(op.n, {0: band}))
+            TpcOperator(**dict(parts, banded=BandedCorrection(band.size, {0: band})))
 
 
 def _windowed_spec(rng, m, short, sym=False):
@@ -306,9 +313,10 @@ class TestFusedKernelRandomised:
         x = rng.standard_normal(op.n)
         _assert_matches_dense(op, x)
         # derived operators start from their own caches, not the parent's
+        _assert_matches_dense(op.scale_shift(0.3, 1.7), x)
         other = random_tpc(rng, m, symmetric, banded_bw=1).banded
-        for derived in (op.scale_shift(0.3, 1.7), op.with_banded(other), op.without_banded()):
-            _assert_matches_dense(derived, x)
+        for banded in (other, None):
+            _assert_matches_dense(TpcOperator(**dict(tpc_pieces(op), banded=banded)), x)
         _assert_matches_dense(op, x)
 
 
@@ -437,7 +445,7 @@ class TestTransformPair:
             op = random_tpc(rng, m, banded_bw=1)
             x = rng.standard_normal(op.n)
             _assert_matches_dense(op, x)
-            _assert_matches_dense(op.without_banded(), x)
+            _assert_matches_dense(TpcOperator(**dict(tpc_pieces(op), banded=None)), x)
         monkeypatch.setattr(kernels, "_BATCH_MAX_LENGTH", 0)    # row by row
         _assert_matches_dense(op, x)
 

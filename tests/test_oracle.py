@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tpcmg import PdModelConfig, coarsen_banded, coarsen_tpc
+from tpcmg import PdModelConfig, coarsen_tpc
 from tpcmg.oracle import (certify_section4, dense_galerkin, dense_solve,
                           sym_eig_extremes)
 
@@ -30,7 +30,7 @@ class TestDenseGalerkin:
     def test_cross_checks_fast_coarsening(self, rng):
         """The module's raison d'etre: dense R A P vs the closed forms."""
         op = random_tpc(rng, 7, banded_bw=1)
-        fast = coarsen_tpc(op.without_banded()).dense() + coarsen_banded(op.banded).dense()
+        fast = coarsen_tpc(op).dense()
         assert np.abs(fast - dense_galerkin(op.dense())).max() <= 1e-12
 
     def test_double_coarsening_commutes(self, rng):

@@ -379,3 +379,10 @@ class TestTgmFactor:
         hier, _ = spd_hierarchy(16, 1)
         with pytest.raises(ValueError, match="trials"):
             tgm_factor_estimate(hier, trials=0)
+
+    @pytest.mark.parametrize("name", ["trials", "max_cycles"])
+    @pytest.mark.parametrize("value", [2.5, float("nan")])
+    def test_non_integer_count_rejected(self, name, value):
+        hier, _ = spd_hierarchy(16, 1)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            tgm_factor_estimate(hier, **{name: value})

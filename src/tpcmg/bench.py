@@ -17,6 +17,7 @@ import numpy as np
 
 from .gamma_model import GammaModelConfig, assemble_gamma_system
 from .hierarchy import build_hierarchy
+from .kernels import _check_integer
 from .oracle import certify_section4, gamma_dense_reference, pd_dense_reference
 from .peridynamic import PdModelConfig, assemble_pd_system
 from .solver import SmootherConfig, vcycle
@@ -179,6 +180,7 @@ def run_scaling(model, Ns, gamma=0.0, delta=0.25, reps=5, coarsest=7,
     the dense path materializes the operator and multiplies, which is what
     the structured representation avoids.
     """
+    _check_integer("reps", reps)
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     rows = []

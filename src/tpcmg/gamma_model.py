@@ -114,6 +114,7 @@ def gamma_coefficients(gamma, count):
     g = float(gamma)
     if not 0.0 <= g < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+    _check_integer("count", count)
     N = int(count)
     if N < 1:
         raise ValueError("count must be >= 1")

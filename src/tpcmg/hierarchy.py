@@ -119,19 +119,22 @@ def coarsen_banded(fine):
         raise ValueError(f"cannot coarsen banded correction of size {n}")
     bwc = min(nc - 1, (fine.bandwidth + 2) // 2) if fine.bands else 0
     weights = ((-1, 1.0), (0, 2.0), (1, 1.0))
+    terms = [(a, b) for a in weights for b in weights]
+    # band -lc sums the mirror of band lc's terms in the same order, so a
+    # symmetric part coarsens to bitwise-mirrored bands
+    mirrored = [(b, a) for a, b in terms]
     bands = {}
     for lc in range(-bwc, bwc + 1):
         count = nc - abs(lc)
         acc = np.zeros(count)
         row = 2 * max(0, -lc) + 1     # fine row of the first coarse entry's pivot
-        for da, wa in weights:
-            for db, wb in weights:
-                lf = 2 * lc + db - da
-                band = fine.band(lf)
-                if band is None:
-                    continue
-                start = row + da if lf >= 0 else row + 2 * lc + db
-                acc += (wa * wb / 8.0) * band[start:start + 2 * count - 1:2]
+        for (da, wa), (db, wb) in terms if lc >= 0 else mirrored:
+            lf = 2 * lc + db - da
+            band = fine.band(lf)
+            if band is None:
+                continue
+            start = row + da if lf >= 0 else row + 2 * lc + db
+            acc += (wa * wb / 8.0) * band[start:start + 2 * count - 1:2]
         if np.any(acc):
             bands[lc] = acc
     return BandedCorrection(nc, bands)

@@ -4,26 +4,24 @@ Square-Toeplitz and Toeplitz-plus-Cross matrix-vector products in
 O(n log n) via circulant embedding.  The circulant of an m x m block
 whose stored offsets reach |l| <= r has length next_fast_len(m + r): a
 dense window gets the usual 2m - 1, a banded one (the peridynamic
-levels, r about m/4) a shorter transform.  A
-Toeplitz-plus-Cross product runs its four Toeplitz blocks as one fused 2x2
-block kernel: one batched rfft of the (v, wbar) rows, a contraction with
-the blocks' cached embedded symbols and one batched irfft (above an
-embedding length of 32768 the rows are transformed one at a time, which
-keeps each buffer at 512 KiB).
+levels, r about m/4) a shorter transform.  _block_product is the one
+2x2 block-of-Toeplitz product, which TpcOperator.matvec and the
+peridynamic boundary fold share: one batched rfft of two zero-padded
+rows, a contraction with the blocks' embedded symbols and one batched
+irfft (row by row above an embedding length of 32768).
 
-Every transform goes straight to pocketfft's ``r2c``/``c2r``, the entry
-points underneath ``scipy.fft.rfft``/``irfft``, called with the arguments
-``scipy.fft`` passes them; on the small levels that skips a dispatch layer
-that costs more than the transforms.  The pair is bound once at import and
-checked there for bitwise equality with ``scipy.fft``; if the entry points
-are missing or disagree, ``scipy.fft`` itself is used.  The direct calls
-run on one thread, and ``scipy.fft.set_backend``/``set_workers`` do not
-reach them.
+Every transform calls pocketfft's ``r2c``/``c2r`` directly, the entry
+points under ``scipy.fft.rfft``/``irfft``, with the arguments ``scipy.fft``
+passes them: on the small levels that skips a dispatch layer that costs
+more than the transforms.  The pair is checked bitwise against
+``scipy.fft`` at import, which is the fallback if the entry points are
+missing or disagree.  The direct calls run on one thread, out of reach of
+``scipy.fft.set_backend``/``set_workers``.
 
 A Toeplitz-plus-Cross operator stores its cross as two length-n lines,
 the column [p, o, xi] and the row [q, o, zeta] (one array when they are
 equal), so every product is assembled the same way: x[m] times the column,
-the block kernel's two rows added into its slices, the row's dot product
+the block product's two rows added into its slices, the row's dot product
 with x as entry m, and the banded product added if there is one.
 
 The operator classes here store only generating sequences (O(n) memory),
@@ -88,7 +86,7 @@ def _check_integer(name, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-# Above this embedding length the block kernel transforms its two rows one
+# Above this embedding length _block_product transforms its two rows one
 # at a time.  In a gamma N = 2^15 BDF4 march, batching the n = 65535 level's
 # (2, 65536) buffers (1 MiB) cost 5400-6400 minor page faults per step;
 # with that level row by row and n <= 32767 still batched (at most 512 KiB)
@@ -116,6 +114,55 @@ def _embedding_column(spec, length):
     hi = spec.hi                                  # data[split:]: offsets >= 1
     col[length - hi:length - lo - split + 1] = data[split:][::-1]
     return col
+
+
+def _block_product(u0, u1, length, S0, S1):
+    """(K00 u0 + K01 u1, K10 u0 + K11 u1) for Toeplitz blocks K whose
+    length-L embedded symbols are S0 = (K00, K11) and S1 = (K01, K10).
+
+    The rows u0, u1 (any leading axes, which the symbols broadcast over)
+    are zero-padded to L here; each result is the whole length-L circulant
+    product, the Toeplitz one in its first u0.shape[-1] entries.  One
+    batched rfft, the contraction and one batched irfft; above
+    _BATCH_MAX_LENGTH the same products row by row."""
+    k = u0.shape[-1]
+    # free each spectrum before the next allocation: that bounds the
+    # transient memory to about two (2, L) buffers
+    if length <= _BATCH_MAX_LENGTH:
+        X = np.zeros((2, *u0.shape[:-1], length))
+        X[0, ..., :k] = u0
+        X[1, ..., :k] = u1
+        X = _rfft(X)
+        off = X[::-1] * S1              # (K01 u1, K10 u0)
+        X *= S0                         # (K00 u0, K11 u1)
+        X += off
+        del off
+        Z = _irfft(X, length)
+        return Z[0], Z[1]
+    row = np.zeros((*u0.shape[:-1], length))
+    row[..., :k] = u0
+    U0 = _rfft(row)
+    row[..., :k] = u1
+    U1 = _rfft(row)
+    del row
+    Y = U0 * S0[0]                      # K00 u0
+    Y += U1 * S1[0]                     # + K01 u1
+    U1 *= S0[1]                         # K11 u1
+    U0 *= S1[1]                         # K10 u0
+    U1 += U0
+    del U0
+    z0 = _irfft(Y, length)
+    del Y
+    return z0, _irfft(U1, length)
+
+
+def _embedded_symbols(columns, length):
+    """(length, S0, S1) for _block_product: the rffts of the length-L
+    embedding columns of the blocks (K00, K11, K01, K10), one at a time."""
+    S = np.empty((2, 2, length // 2 + 1), dtype=complex)
+    for k, col in enumerate(columns):
+        S[k // 2, k % 2] = _rfft(col)
+    return length, S[0], S[1]
 
 
 class ToeplitzSpec:
@@ -375,66 +422,29 @@ class TpcOperator:
                 and (self.banded is None or self.banded.is_symmetric()))
 
     def _block_symbols(self):
-        """(L, S0, S1) with S0 the embedded symbols of (A, Dbar) and S1 those
-        of (Bbar, Cbar), each the rfft of a length-L embedding column, L fit
-        to the largest reach of the four blocks; computed on the first
-        matvec and cached."""
+        """The _block_product symbols (L, S0, S1) of the blocks
+        [[A, Bbar], [Cbar, Dbar]], L fit to their largest reach; computed on
+        the first matvec and cached."""
         if self._symbols is None:
             specs = (self.A, self.Dbar, self.Bbar, self.Cbar)
             length = _embedding_length(self.m, max(spec.reach for spec in specs))
-            S = np.empty((2, 2, length // 2 + 1), dtype=complex)
-            for k, spec in enumerate(specs):
-                S[k // 2, k % 2] = _rfft(_embedding_column(spec, length))
-            self._symbols = (length, S[0], S[1])
+            self._symbols = _embedded_symbols(
+                (_embedding_column(spec, length) for spec in specs), length)
         return self._symbols
 
     def matvec(self, x):
-        """Product with a length-n array: the four Toeplitz blocks, run as
-        one fused block kernel (a batched rfft of the rows v, wbar, the 2x2
-        symbol contraction and a batched irfft; row by row above
-        _BATCH_MAX_LENGTH), added into x[m] times the cross column, with the
-        cross row's dot product as entry m, plus the banded product if there
-        is one."""
+        """Product with a length-n array: the four Toeplitz blocks as one
+        _block_product of the rows v, wbar, added into x[m] times the cross
+        column, with the cross row's dot product as entry m, plus the
+        banded product if there is one."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"x must have length {self.n}, got {x.shape}")
         m = self.m
-        v, wbar = x[:m], x[m + 1:]
-        length, S0, S1 = self._block_symbols()
-        # free each spectrum before the next allocation: that bounds the
-        # transient memory to about two (2, L) buffers
-        if length <= _BATCH_MAX_LENGTH:
-            X = np.zeros((2, length))
-            X[0, :m] = v
-            X[1, :m] = wbar
-            X = _rfft(X)
-            off = X[::-1] * S1          # (Bbar wbar, Cbar v)
-            X *= S0                     # (A v, Dbar wbar)
-            X += off
-            del off
-            Z = _irfft(X, length)
-            del X
-            z0, z1 = Z[0, :m], Z[1, :m]
-        else:                           # the same products, row by row
-            row = np.zeros(length)
-            row[:m] = v
-            V = _rfft(row)
-            row[:m] = wbar
-            W = _rfft(row)
-            del row
-            Y = V * S0[0]               # A v
-            Y += W * S1[0]              # + Bbar wbar
-            W *= S0[1]                  # Dbar wbar
-            V *= S1[1]                  # Cbar v
-            W += V
-            del V
-            z0 = _irfft(Y, length)[:m]
-            del Y
-            z1 = _irfft(W, length)[:m]
-            del W
+        z0, z1 = _block_product(x[:m], x[m + 1:], *self._block_symbols())
         y = self.col * x[m]
-        y[:m] += z0
-        y[m + 1:] += z1
+        y[:m] += z0[:m]
+        y[m + 1:] += z1[:m]
         # ndarray.dot: the same BLAS dot as @, at half the call overhead
         y[m] = self.row.dot(x)
         if self.banded is not None:

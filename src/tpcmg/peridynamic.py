@@ -14,12 +14,9 @@ cells; the model therefore works with the effective horizon r*h (for
 delta = 1/4 on the benchmark grids the two coincide, and for
 delta = sqrt(h) this is what reproduces the reported convergence orders).
 
-F_folded is the forcing minus the collar data's exterior-stencil sums.
-fold_boundary_rhs computes all of them as one 2x2 block of Toeplitz
-products per side, through the kernels' transform pair: one batched rfft
-of the collar rows, zero-padded to next_fast_len(2r + 1), a contraction
-with the weights' spectra held by PdSystem and one batched irfft, so the
-fold costs O(r log r) per step.
+F_folded is the forcing minus the collar data's exterior-stencil sums;
+fold_boundary_rhs computes them all as one kernels block product, in
+O(r log r) per step.
 """
 
 from __future__ import annotations
@@ -29,9 +26,9 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
-from .kernels import ToeplitzSpec, TpcOperator, _check_integer, _irfft, _rfft
+from .kernels import (ToeplitzSpec, TpcOperator, _block_product, _check_integer,
+                      _embedded_symbols, _embedding_length)
 
 __all__ = [
     "PdModelConfig",
@@ -124,6 +121,7 @@ def pd_coefficients(r, symmetric):
     collide at small r the later, more specific assignments win (r = 1
     leaves the generic ranges empty).
     """
+    _check_integer("r", r)
     r = int(r)
     if r < 1:
         raise ValueError(f"mesh ratio r must be >= 1, got {r}")
@@ -162,17 +160,16 @@ class PdSystem:
             self.wD = coeffs.d[1:].copy()
         assert self.wA.size == r + 1 and self.wC.size == r + 1
         assert self.wB.size == r and self.wD.size == r
-        # per collar, the spectra of its (v row, w row) weights, divided by
-        # eta and zero-padded to a length that no linear sum wraps past
-        length = _fft.next_fast_len(2 * r + 1, real=True)
-        weights = np.zeros((2, 2, length))
-        weights[0, 0, :r + 1] = self.wA
-        weights[0, 1, :r + 1] = self.wC
-        weights[1, 0, :r] = self.wB
-        weights[1, 1, :r] = self.wD
-        weights /= self.scale
-        spectra = _rfft(weights)
-        self._fold_spectra = (length, spectra[0], spectra[1])
+        # the embedding columns of the fold's blocks (K00, K11, K01, K10):
+        # (wA, wD, wB, wC) / eta, zero-padded to a length that no linear sum
+        # wraps past
+        length = _embedding_length(r + 1, r)
+        columns = np.zeros((4, length))
+        for col, w in zip(columns, (self.wA, self.wD, self.wB, self.wC)):
+            col[:w.size] = w
+        columns /= self.scale
+        _, S0, S1 = _embedded_symbols(columns, length)
+        self._fold_spectra = (length, S0[:, None], S1[:, None])
 
 
 def assemble_pd_system(cfg):
@@ -271,14 +268,11 @@ def fold_boundary_rhs(system, F, collar):
     op @ U = eta_h * F_folded reproduces constants exactly (validated
     against dense elimination of the full-domain operator in the tests).
 
-    Each sum is an entry of the linear convolution of a collar vector with
-    one of the weight vectors wA, wB (v rows) or wC, wD (w rows): the left
-    collar as stored, the right collar reversed.  With the w-collar shifted
-    by one place every sum reads the window [r, 2r], so all eight run as one
-    block product, as TpcOperator.matvec runs its blocks: one batched rfft
-    of the (side, collar) rows, zero-padded to L = next_fast_len(2r + 1),
-    a contraction with the weights' spectra that PdSystem holds and one
-    batched irfft, O(r log r) per step.
+    Each sum is an entry of the linear convolution of a collar vector (the
+    right collar reversed) with one of the weights wA, wB (v rows) or wC,
+    wD (w rows).  With the w collars one place on, every sum reads the
+    window [r, 2r], so all eight are one kernels block product over the
+    two sides, O(r log r) per step.
     """
     cfg = system.cfg
     N, r = cfg.N, cfg.r
@@ -293,31 +287,21 @@ def fold_boundary_rhs(system, F, collar):
     if F.shape != (2 * N - 1,):
         raise ValueError(f"F must have length {2 * N - 1}, got {F.shape}")
 
-    length, Sv, Sw = system._fold_spectra
-    # (side, collar) rows; the w-collar one place on, so that the v rows
-    # read offsets [r, 2r) and the w rows [r, 2r] of every sum
-    X = np.zeros((2, 2, length))
-    X[0, 0, :r + 1] = lv
-    X[0, 1, 1:r + 1] = lw
-    X[1, 0, :r + 1] = rv[::-1]
-    X[1, 1, 1:r + 1] = rw[::-1]
-    # free each spectrum before the next allocation, as matvec does, and
-    # copy F only after the transforms: at most two fold-sized arrays are
-    # alive at once
-    X = _rfft(X)
-    Y = X[:, :1] * Sv                   # (side, row): the v-collar terms
-    X[:, 0] = X[:, 1]
-    X *= Sw                             # (side, row): the w-collar terms
-    Y += X
-    del X
-    Z = _irfft(Y, length)
-    del Y
+    # collar-major rows (v collars, w collars) of the two sides, the w
+    # collars one place on, so that the v rows read offsets [r, 2r) and the
+    # w rows [r, 2r] of every sum
+    rows = np.zeros((2, 2, r + 1))
+    rows[0, 0], rows[0, 1] = lv, rv[::-1]
+    rows[1, 0, 1:], rows[1, 1, 1:] = lw, rw[::-1]
+    zv, zw = _block_product(rows[0], rows[1], *system._fold_spectra)
+    # F is copied only after the product: at most two fold-sized arrays
+    # are alive at once
     data = F.copy()
     Fv, Fw = data[:N - 1], data[N - 1:]
-    Fv[:r] -= Z[0, 0, r:2 * r]
-    Fw[:r + 1] -= Z[0, 1, r:2 * r + 1]
-    Fv[N - 1 - r:] -= Z[1, 0, r:2 * r][::-1]
-    Fw[N - 1 - r:] -= Z[1, 1, r:2 * r + 1][::-1]
+    Fv[:r] -= zv[0, r:2 * r]
+    Fw[:r + 1] -= zw[0, r:2 * r + 1]
+    Fv[N - 1 - r:] -= zv[1, r:2 * r][::-1]
+    Fw[N - 1 - r:] -= zw[1, r:2 * r + 1][::-1]
     return data
 
 

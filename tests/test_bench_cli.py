@@ -90,6 +90,11 @@ class TestRunScaling:
         with pytest.raises(ValueError, match="reps must be at least 1"):
             run_scaling("pd-sym", [16], reps=0)
 
+    @pytest.mark.parametrize("reps", [2.5, float("nan"), 3.0, "3", None])
+    def test_non_integer_reps_rejected(self, reps):
+        with pytest.raises(ValueError, match="reps must be an integer"):
+            run_scaling("pd-sym", [16], reps=reps)
+
     def test_dense_compare(self):
         out = run_scaling("pd-sym", [64], delta=0.25, reps=3, dense_compare_N=64)
         assert out["dense_compare"]["speedup"] > 0

@@ -111,3 +111,41 @@ def test_dead_private_name_detected():
 def test_no_dead_private_names():
     dead = dead_private_names({path.name: path.read_text() for path in PACKAGE_SOURCES})
     assert not dead, f"private names that nothing in tpcmg reads: {dead}"
+
+
+def transform_uses(source):
+    """Sorted uses in ``source`` of the FFT layer: scipy.fft imported in
+    any form, and the names _rfft/_irfft imported or read."""
+    uses = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            uses.update(a.name for a in node.names
+                        if a.name == "scipy.fft" or a.name.startswith("scipy.fft."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module == "scipy.fft" or module.startswith("scipy.fft."):
+                uses.add(module)
+            uses.update(f"{module}.{a.name}" for a in node.names
+                        if a.name in ("_rfft", "_irfft")
+                        or (module == "scipy" and a.name == "fft"))
+        elif isinstance(node, ast.Name) and node.id in ("_rfft", "_irfft"):
+            uses.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in ("_rfft", "_irfft"):
+            uses.add(node.attr)
+    return sorted(uses)
+
+
+def test_transform_use_detected():
+    for source in ("import scipy.fft as _fft\n", "from scipy.fft import rfft\n",
+                   "from scipy import fft\n", "from .kernels import _irfft\n",
+                   "from . import kernels\ny = kernels._rfft(x)\n"):
+        assert transform_uses(source), source
+    assert transform_uses("import scipy.linalg\nfrom .kernels import _block_product\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE_SOURCES if p.name != "kernels.py"],
+                         ids=lambda p: p.name)
+def test_transforms_only_in_kernels(path):
+    """Every FFT the package takes goes through kernels' transform pair."""
+    uses = transform_uses(path.read_text())
+    assert not uses, f"{path.name} uses the FFT layer directly: {uses}"

@@ -133,6 +133,15 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             gamma_coefficients(-0.1, 8)
 
+    @pytest.mark.parametrize("count", [8.7, 8.0, float("nan"), "8", None])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            gamma_coefficients(0.5, count)
+
+    def test_numpy_integer_count_accepted(self):
+        assert np.array_equal(gamma_coefficients(0.5, np.int64(8)).m,
+                              gamma_coefficients(0.5, 8).m)
+
 
 class TestAssembly:
     @pytest.mark.parametrize("N", [4, 8, 16])

@@ -208,7 +208,8 @@ class TestCoarsenRandomised:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_banded_equals_index_gather(self, k, bw, symmetric, seed):
         """The strided slices read bitwise what an index-array gather of
-        band[min(row, col)] over every coarse entry reads."""
+        band[min(row, col)] over every coarse entry reads, with the terms
+        of a band below the diagonal summed in (db, da) order."""
         rng = np.random.default_rng(seed)
         bc = random_tpc(rng, 2 ** k - 1, symmetric=symmetric, banded_bw=bw).banded
         nc = (bc.n - 1) // 2
@@ -220,8 +221,9 @@ class TestCoarsenRandomised:
             acc = np.zeros(count)
             rows = 2 * (np.arange(count) + max(0, -lc)) + 1
             cols = rows + 2 * lc
-            for da, wa in weights:
-                for db, wb in weights:
+            for outer in weights:
+                for inner in weights:
+                    (da, wa), (db, wb) = (outer, inner) if lc >= 0 else (inner, outer)
                     band = bc.band(2 * lc + db - da)
                     if band is not None:
                         acc += (wa * wb / 8.0) * band[np.minimum(rows + da, cols + db)]
@@ -233,6 +235,17 @@ class TestCoarsenRandomised:
 
 
 class TestCoarsenBanded:
+    @pytest.mark.parametrize("bw", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_symmetric_part_stays_symmetric(self, bw, seed):
+        """Mirrored bands sum their terms in mirrored order, so a symmetric
+        banded part coarsens to bitwise-mirrored bands, twice over."""
+        op = random_tpc(np.random.default_rng(seed), 15, symmetric=True, banded_bw=bw)
+        for _ in range(2):
+            op = coarsen_tpc(op)
+            assert op.banded.is_symmetric()
+            assert op.symmetric
+
     def test_identity_becomes_tridiag(self):
         bc = BandedCorrection(7, {0: np.ones(7)})
         coarse = coarsen_banded(bc)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tpcmg import (PdModelConfig, assemble_pd_system,
                    fold_boundary_rhs, pd_coefficients, pd_exact_forcing,
                    sample_collar)
+from tpcmg import kernels
 from tpcmg.oracle import (pd_dense_reference, pd_forcing_quadrature,
                           pd_full_domain_operator, sym_eig_extremes)
 
@@ -39,6 +40,11 @@ class TestCoefficients:
     def test_invalid_r(self):
         with pytest.raises(ValueError):
             pd_coefficients(0, symmetric=True)
+
+    @pytest.mark.parametrize("r", [2.5, 2.0, float("nan"), "2", None])
+    def test_non_integer_r_rejected(self, r):
+        with pytest.raises(ValueError, match="r must be an integer"):
+            pd_coefficients(r, symmetric=True)
 
 
 class TestConfig:
@@ -227,6 +233,24 @@ class TestFolding:
         F_before = F.copy()
         folded = fold_boundary_rhs(system, F, collar)
         assert np.array_equal(F, F_before)          # F is not written
+        ref = _fold_by_convolution(system, F, collar)
+        assert np.abs(folded - ref).max() <= 1e-13 * np.abs(ref - F).max()
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("delta", [0.25, "sqrt-h"])
+    @pytest.mark.parametrize("N", [8, 256, 1024])
+    def test_row_path_matches_convolution(self, rng, monkeypatch, N, delta, symmetric):
+        """The fold's block product taken row by row (as above
+        _BATCH_MAX_LENGTH) matches the convolutions, and the batched fold
+        bitwise."""
+        cfg = PdModelConfig(N=N, delta=delta, symmetric=symmetric)
+        system = assemble_pd_system(cfg)
+        F = rng.standard_normal(2 * N - 1)
+        collar = rng.standard_normal(4 * cfg.r + 2)
+        batched = fold_boundary_rhs(system, F, collar)
+        monkeypatch.setattr(kernels, "_BATCH_MAX_LENGTH", 0)
+        folded = fold_boundary_rhs(system, F, collar)
+        assert np.array_equal(folded, batched)
         ref = _fold_by_convolution(system, F, collar)
         assert np.abs(folded - ref).max() <= 1e-13 * np.abs(ref - F).max()
 

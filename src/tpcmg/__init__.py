@@ -17,7 +17,7 @@ from .peridynamic import (PdCoefficients, PdModelConfig, PdSystem,
                           assemble_pd_system, fold_boundary_rhs,
                           pd_coefficients, pd_exact_forcing, sample_collar)
 from .solver import (SingularSmootherError, SmootherConfig, SolveReport,
-                     solve, tgm_factor_estimate, vcycle)
+                     solve, vcycle)
 from .timestepper import (MarchResult, TransientConfig, TransientProblem,
                           bdf4_march, build_step_operator,
                           gamma_manufactured_problem, pd_manufactured_problem)
@@ -34,7 +34,7 @@ __all__ = [
     "assemble_pd_system", "fold_boundary_rhs", "sample_collar",
     "pd_exact_forcing",
     "SmootherConfig", "SolveReport", "SingularSmootherError",
-    "vcycle", "solve", "tgm_factor_estimate",
+    "vcycle", "solve",
     "TransientConfig", "TransientProblem", "MarchResult",
     "build_step_operator", "bdf4_march",
     "gamma_manufactured_problem", "pd_manufactured_problem",

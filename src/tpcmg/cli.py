@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .bench import (model_config, rows_pretty, rows_to_csv, run_scaling,
+from .bench import (MODELS, model_config, rows_pretty, rows_to_csv, run_scaling,
                     run_table, run_verify, table_json)
 from .peridynamic import SQRT_H
 from .solver import SmootherConfig, _check_stopping
@@ -34,8 +34,7 @@ def _delta_arg(value):
 
 
 def _add_model(p):
-    p.add_argument("--model", required=True,
-                   choices=("gamma", "pd-nonsym", "pd-sym"))
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--N", action="append", type=int, required=True,
                    help="grid size, repeatable")
     p.add_argument("--gamma", type=float, default=0.0)
@@ -62,7 +61,6 @@ def build_parser():
     table.add_argument("--out", choices=("csv", "json", "pretty"), default="pretty")
     verify.add_argument("--r", type=int, default=None,
                         help="mesh ratio; overrides --delta as r/N")
-    verify.add_argument("--seed", type=int, default=0)
     scaling.add_argument("--coarsest", type=int, default=7)
     scaling.add_argument("--reps", type=int, default=5)
     scaling.add_argument("--dense-compare-N", type=int, default=None)
@@ -120,7 +118,7 @@ def main(argv=None):
         status = 0
         for N in args.N:
             lines, passed = run_verify(args.model, N, gamma=args.gamma,
-                                       delta=args.delta, r=args.r, seed=args.seed)
+                                       delta=args.delta, r=args.r)
             print(f"# model={args.model} N={N}")
             for line in lines:
                 print(line)

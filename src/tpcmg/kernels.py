@@ -81,9 +81,15 @@ _rfft, _irfft = _transform_pair()
 
 
 def _check_integer(name, value):
-    """Reject a count that is not an integer (a float such as 2.0 too)."""
-    if not isinstance(value, numbers.Integral):
+    """Reject a count that is not an integer: a float such as 2.0, or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name, value):
+    """Reject a parameter that is not a real number: a string, or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 # Above this embedding length _block_product transforms its two rows one

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .hierarchy import Hierarchy, prolong, restrict
-from .kernels import _check_integer
+from .hierarchy import prolong, restrict
+from .kernels import _check_integer, _check_real
 
 __all__ = [
     "SmootherConfig",
@@ -32,7 +32,6 @@ __all__ = [
     "SingularSmootherError",
     "vcycle",
     "solve",
-    "tgm_factor_estimate",
 ]
 
 
@@ -52,6 +51,7 @@ class SmootherConfig:
     def __post_init__(self):
         for name in ("omega_pre", "omega_post"):
             omega = getattr(self, name)
+            _check_real(name, omega)
             if not (math.isfinite(omega) and omega > 0):
                 raise ValueError(f"{name} must be positive and finite, got {omega}")
         for name in ("m1", "m2"):
@@ -207,6 +207,7 @@ def vcycle(hier, b, cfg=None):
 def _check_stopping(tol, max_iter):
     """Reject a stopping rule that solve cannot meet: tol must be positive
     (not NaN) and max_iter an integer at least 1."""
+    _check_real("tol", tol)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     _check_integer("max_iter", max_iter)
@@ -264,50 +265,3 @@ def solve(hier, b, cfg=None, tol=1e-15, max_iter=200):
         report.contraction_estimate = history[-1] ** (1.0 / len(history))
     return x, report
 
-
-def _two_level(hier):
-    if len(hier.levels) < 2:
-        raise ValueError("need at least two levels for a two-grid method")
-    return Hierarchy(hier.levels[:2])
-
-
-def tgm_factor_estimate(hier, trials=5, max_cycles=60, seed=0, cfg=None):
-    """Asymptotic A-norm contraction of the two-grid error propagator.
-
-    Power-method style: from a random error e, apply e <- e - B(A e) with B
-    one two-grid cycle, tracking ||e_new||_A / ||e||_A until the ratio
-    settles; the maximum over trials is returned.  Requires the symmetric
-    SPD variant (the A-norm is not defined otherwise).
-    """
-    _check_integer("trials", trials)
-    _check_integer("max_cycles", max_cycles)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if max_cycles < 1:
-        raise ValueError(f"max_cycles must be at least 1, got {max_cycles}")
-    op = hier.finest
-    if not op.symmetric:
-        raise ValueError("two-grid factor estimate needs the symmetric SPD variant")
-    cfg = cfg or SmootherConfig()
-    two = _two_level(hier)
-    cache = _cycle_cache(two, cfg)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        e = rng.standard_normal(op.n)
-        ratio_prev = None
-        for _ in range(max_cycles):
-            ae = op.matvec(e)
-            norm2 = float(e @ ae)
-            if norm2 <= 0.0:
-                raise ValueError("operator is not positive definite")
-            e_new = e - _cycle(two, 0, ae, cfg, cache)
-            ae_new = op.matvec(e_new)
-            new2 = float(e_new @ ae_new)
-            ratio = np.sqrt(max(new2, 0.0) / norm2)
-            e = e_new / np.sqrt(new2) if new2 > 0 else e_new
-            if ratio_prev is not None and abs(ratio - ratio_prev) < 1e-6:
-                break
-            ratio_prev = ratio
-        worst = max(worst, ratio)
-    return worst

@@ -28,6 +28,7 @@ import numpy as np
 
 from .gamma_model import assemble_gamma_system, gamma_exact_forcing
 from .hierarchy import build_hierarchy
+from .kernels import _check_real
 from .peridynamic import (assemble_pd_system, fold_boundary_rhs,
                           pd_exact_forcing, sample_collar)
 from .solver import SmootherConfig, solve
@@ -54,6 +55,7 @@ class TransientConfig:
 
     def __post_init__(self):
         for name in ("tau", "final_time"):
+            _check_real(name, getattr(self, name))
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.tau <= 0:
@@ -99,6 +101,7 @@ def build_step_operator(system, tau):
     The identity shift folds into the diagonal coefficients a_0, o, d_0 of
     the cross representation.
     """
+    _check_real("tau", tau)
     if not (np.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     return system.op.scale_shift(tau / system.scale, 25.0 / 12.0)

@@ -209,6 +209,8 @@ class TestCli:
          "--dense-compare-N: N must be a power of two >= 4, got 6"),
         (["scaling", "--model", "pd-sym", "--N", "16", "--dense-compare-N", "0"],
          "--dense-compare-N: N must be a power of two >= 4, got 0"),
+        (["verify", "--model", "pd-sym", "--N", "16", "--seed", "1"],
+         "unrecognized arguments: --seed 1"),
     ])
     def test_invalid_argument_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -221,7 +223,7 @@ class TestCli:
     @pytest.mark.parametrize("command,dests", [
         ("table", {"tol", "max_iter", "omega_pre", "omega_post", "m1", "m2",
                    "coarsest", "out"}),
-        ("verify", {"r", "seed"}),
+        ("verify", {"r"}),
         ("scaling", {"coarsest", "reps", "dense_compare_N", "out"}),
     ])
     def test_each_command_has_only_its_flags(self, command, dests):

@@ -149,3 +149,44 @@ def test_transforms_only_in_kernels(path):
     """Every FFT the package takes goes through kernels' transform pair."""
     uses = transform_uses(path.read_text())
     assert not uses, f"{path.name} uses the FFT layer directly: {uses}"
+
+
+def package_imports(source):
+    """Sorted (module, name) of each tpcmg module ``source`` imports from,
+    relatively or by absolute name; name is None for a whole module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update((a.name.split(".")[1], None) for a in node.names
+                         if a.name.startswith("tpcmg."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.startswith("tpcmg"):
+                module = module[len("tpcmg"):].lstrip(".")
+            elif node.level == 0:
+                continue
+            if module:
+                found.update((module.split(".")[0], a.name) for a in node.names)
+            else:
+                found.update((a.name, None) for a in node.names)
+    return sorted(found, key=str)
+
+
+def test_package_import_detected():
+    source = ("import numpy\nfrom . import kernels, peridynamic\n"
+              "from .solver import SmootherConfig, vcycle\n"
+              "import tpcmg.hierarchy\nfrom tpcmg.kernels import _rfft\n")
+    assert package_imports(source) == sorted(
+        [("kernels", None), ("peridynamic", None), ("solver", "SmootherConfig"),
+         ("solver", "vcycle"), ("hierarchy", None), ("kernels", "_rfft")], key=str)
+
+
+def test_oracle_independent_of_fast_path():
+    """The oracle reads no kernel, hierarchy or solver code: of the solver
+    only the SmootherConfig a dense cycle takes its parameters from."""
+    source = (pathlib.Path(tpcmg.__path__[0]) / "oracle.py").read_text()
+    imports = package_imports(source)
+    banned = [(module, name) for module, name in imports
+              if module in ("hierarchy", "kernels")
+              or (module == "solver" and name != "SmootherConfig")]
+    assert not banned, f"oracle.py imports from the fast path: {banned}"

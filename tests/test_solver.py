@@ -4,8 +4,9 @@ import pytest
 from tpcmg import (GammaModelConfig, Hierarchy, PdModelConfig,
                    SmootherConfig, TpcOperator, assemble_gamma_system,
                    assemble_pd_system, build_hierarchy, build_step_operator,
-                   solve, tgm_factor_estimate, vcycle)
-from tpcmg.oracle import restriction_matrix
+                   solve, vcycle)
+from tpcmg.oracle import (dense_galerkin, dense_vcycle, restriction_matrix,
+                          two_grid_a_norm)
 from tpcmg import kernels, solver
 from tpcmg.solver import SingularSmootherError
 
@@ -20,32 +21,12 @@ def spd_hierarchy(N, r, tau=None):
     return build_hierarchy(op), op
 
 
-def dense_vcycle(levels, cfg):
-    """Dense matrix of one V(m1, m2) cycle from the zero guess, built
-    recursively from the dense levels, R, P = 2 R^T and a dense solve at
-    the coarsest level."""
-    A = levels[0].dense()
-    n = A.shape[0]
-    if len(levels) == 1:
-        return np.linalg.solve(A, np.eye(n))
-    R = restriction_matrix(n)
-    P = 2.0 * R.T
-    Dinv = np.diag(1.0 / np.diag(A))
-    X = np.zeros((n, n))
-    for _ in range(cfg.m1):
-        X = X + cfg.omega_pre * Dinv @ (np.eye(n) - A @ X)
-    X = X + P @ dense_vcycle(levels[1:], cfg) @ R @ (np.eye(n) - A @ X)
-    for _ in range(cfg.m2):
-        X = X + cfg.omega_post * Dinv @ (np.eye(n) - A @ X)
-    return X
-
-
 SMOOTHERS = [SmootherConfig(), SmootherConfig(m1=0), SmootherConfig(m1=2, m2=0),
              SmootherConfig(omega_pre=0.7, omega_post=0.3)]
 
 
 def assert_matches_dense_cycle(hier, cfg, b):
-    ref = dense_vcycle(hier.levels, cfg) @ b
+    ref = dense_vcycle([op.dense() for op in hier.levels], cfg) @ b
     assert np.abs(vcycle(hier, b, cfg) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -106,6 +87,18 @@ class TestVcycle:
     def test_matches_dense_recursive_cycle(self, rng, N, cfg):
         hier, op = spd_hierarchy(N, max(1, N // 8), tau=1.0 / N)
         assert_matches_dense_cycle(hier, cfg, rng.standard_normal(op.n))
+
+    @pytest.mark.parametrize("N", [16, 32])
+    @pytest.mark.parametrize("cfg", SMOOTHERS)
+    def test_two_level_matches_oracle_cycle(self, rng, N, cfg):
+        """The fast two-grid cycle is the oracle's dense one on the finest
+        matrix and its dense Galerkin product."""
+        hier, op = spd_hierarchy(N, 2)
+        A = op.dense()
+        b = rng.standard_normal(op.n)
+        ref = dense_vcycle([A, dense_galerkin(A)], cfg) @ b
+        out = vcycle(Hierarchy(hier.levels[:2]), b, cfg)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_nonsymmetric_matches_dense_recursive_cycle(self, rng):
         system = assemble_pd_system(PdModelConfig(N=64, delta=0.25, symmetric=False))
@@ -315,50 +308,53 @@ class TestSolve:
 
 
 class TestTgmFactor:
+    """The oracle's exact two-grid A-norm on the operators the solver sees."""
+
     def test_identity_contracts_immediately(self):
-        hier = build_hierarchy(identity_tpc(15))
-        assert tgm_factor_estimate(hier, trials=2) <= 1e-8
+        assert two_grid_a_norm(identity_tpc(7).dense()) <= 1e-8
 
     @pytest.mark.parametrize("N,r", [(16, 1), (32, 2), (64, 3)])
     def test_below_theory_bound(self, N, r):
-        hier, _ = spd_hierarchy(N, r)
-        factor = tgm_factor_estimate(hier, trials=3)
-        assert factor <= np.sqrt(47.0 / 48.0)
+        _, op = spd_hierarchy(N, r)
+        assert two_grid_a_norm(op.dense()) <= np.sqrt(47.0 / 48.0)
 
     def test_matches_dense_spectral_radius(self):
-        hier, op = spd_hierarchy(16, 2)
-        two = Hierarchy(hier.levels[:2])
+        """||E||_A^2 is the spectral radius of E^* E, E^* = A^{-1} E^T A,
+        with E the explicit composition S_post (I - P Ac^{-1} R A) S_pre;
+        it bounds the spectral radius of E."""
+        _, op = spd_hierarchy(16, 2)
         A = op.dense()
         n = op.n
         R = restriction_matrix(n)
         P = 2.0 * R.T
-        Ac = two.levels[1].dense()
         D = np.diag(A)
-        T = np.eye(n) - P @ np.linalg.solve(Ac, R @ A)
+        T = np.eye(n) - P @ np.linalg.solve(R @ A @ P, R @ A)
         E = (np.eye(n) - 0.5 * (A / D[:, None])) @ T @ (np.eye(n) - 1.0 * (A / D[:, None]))
-        rho = max(abs(np.linalg.eigvals(E)))
-        est = tgm_factor_estimate(hier, trials=4, max_cycles=200)
-        assert est <= rho + 0.01
+        norm2 = max(abs(np.linalg.eigvals(np.linalg.solve(A, E.T @ A @ E))))
+        norm = two_grid_a_norm(A)
+        assert norm == pytest.approx(np.sqrt(norm2), rel=1e-10)
+        assert max(abs(np.linalg.eigvals(E))) <= norm * (1 + 1e-12)
 
     def test_nonsym_rejected(self, rng):
-        hier = build_hierarchy(random_tpc(rng, 7))
-        with pytest.raises(ValueError):
-            tgm_factor_estimate(hier)
+        with pytest.raises(ValueError, match="symmetric positive definite"):
+            two_grid_a_norm(random_tpc(rng, 7).dense())
+
+    def test_indefinite_rejected(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            two_grid_a_norm(-identity_tpc(7).dense())
 
     def test_symmetric_data_accepted(self, rng):
         op = random_tpc(rng, 15, symmetric=True)
         # shifted past its Gershgorin radius: diagonally dominant, so SPD
         op = op.scale_shift(1.0, np.abs(op.dense()).sum(axis=1).max())
-        hier = build_hierarchy(TpcOperator(**tpc_pieces(op)))
-        assert 0.0 <= tgm_factor_estimate(hier, trials=2) < 1.0
+        assert 0.0 <= two_grid_a_norm(TpcOperator(**tpc_pieces(op)).dense()) < 1.0
 
     @pytest.mark.parametrize("piece", ["Cbar", "q", "banded"])
     def test_one_broken_mirror_rejected(self, rng, piece):
         op = random_tpc(rng, 15, symmetric=True)
         shift = np.abs(op.dense()).sum(axis=1).max()
-        hier = build_hierarchy(break_mirror(op.scale_shift(1.0, shift), piece))
-        with pytest.raises(ValueError, match="symmetric SPD variant"):
-            tgm_factor_estimate(hier)
+        with pytest.raises(ValueError, match="symmetric positive definite"):
+            two_grid_a_norm(break_mirror(op.scale_shift(1.0, shift), piece).dense())
 
     def test_zero_horizon_step_operator_accepted(self):
         """tau = 0 scales the nonsymmetric pd operator away: 25/12 I, whose
@@ -368,21 +364,4 @@ class TestTgmFactor:
         assert np.array_equal(op.dense(), 25.0 / 12.0 * np.eye(op.n))
         assert op.symmetric
         assert [spec.reach for spec in (op.A, op.Bbar, op.Cbar, op.Dbar)] == [0] * 4
-        assert tgm_factor_estimate(build_hierarchy(op), trials=2) <= 1e-8
-
-    def test_zero_cycles_rejected(self):
-        hier, _ = spd_hierarchy(16, 1)
-        with pytest.raises(ValueError, match="max_cycles"):
-            tgm_factor_estimate(hier, max_cycles=0)
-
-    def test_zero_trials_rejected(self):
-        hier, _ = spd_hierarchy(16, 1)
-        with pytest.raises(ValueError, match="trials"):
-            tgm_factor_estimate(hier, trials=0)
-
-    @pytest.mark.parametrize("name", ["trials", "max_cycles"])
-    @pytest.mark.parametrize("value", [2.5, float("nan")])
-    def test_non_integer_count_rejected(self, name, value):
-        hier, _ = spd_hierarchy(16, 1)
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            tgm_factor_estimate(hier, **{name: value})
+        assert two_grid_a_norm(op.dense()) <= 1e-8

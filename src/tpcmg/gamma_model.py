@@ -17,13 +17,13 @@ constants.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .kernels import BandedCorrection, ToeplitzSpec, TpcOperator, _check_integer
+from .kernels import (BandedCorrection, ToeplitzSpec, TpcOperator, _check_integer,
+                      _check_real)
 
 __all__ = [
     "GammaModelConfig",
@@ -49,7 +49,8 @@ class GammaModelConfig:
             raise ValueError(f"N must be a power of two >= 4, got {self.N}")
         # gamma = 0 is admitted: the coefficient formulas are continuous there
         # and the reported experiments include it.
-        if not (isinstance(self.gamma, numbers.Real) and 0.0 <= self.gamma < 1.0):
+        _check_real("gamma", self.gamma)
+        if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma!r}")
 
     @property
@@ -111,6 +112,7 @@ def gamma_coefficients(gamma, count):
     each into one half-integer power table, and each family reads shifted
     slices of it (stride 2 for the block tables, stride 1 for eta).
     """
+    _check_real("gamma", gamma)
     g = float(gamma)
     if not 0.0 <= g < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")

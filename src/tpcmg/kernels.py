@@ -126,18 +126,17 @@ def _block_product(u0, u1, length, S0, S1):
     """(K00 u0 + K01 u1, K10 u0 + K11 u1) for Toeplitz blocks K whose
     length-L embedded symbols are S0 = (K00, K11) and S1 = (K01, K10).
 
-    The rows u0, u1 (any leading axes, which the symbols broadcast over)
-    are zero-padded to L here; each result is the whole length-L circulant
-    product, the Toeplitz one in its first u0.shape[-1] entries.  One
-    batched rfft, the contraction and one batched irfft; above
-    _BATCH_MAX_LENGTH the same products row by row."""
-    k = u0.shape[-1]
+    The 1-D rows u0, u1 are zero-padded to L here; each result is the
+    whole length-L circulant product, the Toeplitz one in its first
+    u0.size entries.  One batched rfft, the contraction and one batched
+    irfft; above _BATCH_MAX_LENGTH the same products row by row."""
+    k = u0.size
     # free each spectrum before the next allocation: that bounds the
     # transient memory to about two (2, L) buffers
     if length <= _BATCH_MAX_LENGTH:
-        X = np.zeros((2, *u0.shape[:-1], length))
-        X[0, ..., :k] = u0
-        X[1, ..., :k] = u1
+        X = np.zeros((2, length))
+        X[0, :k] = u0
+        X[1, :k] = u1
         X = _rfft(X)
         off = X[::-1] * S1              # (K01 u1, K10 u0)
         X *= S0                         # (K00 u0, K11 u1)
@@ -145,10 +144,10 @@ def _block_product(u0, u1, length, S0, S1):
         del off
         Z = _irfft(X, length)
         return Z[0], Z[1]
-    row = np.zeros((*u0.shape[:-1], length))
-    row[..., :k] = u0
+    row = np.zeros(length)
+    row[:k] = u0
     U0 = _rfft(row)
-    row[..., :k] = u1
+    row[:k] = u1
     U1 = _rfft(row)
     del row
     Y = U0 * S0[0]                      # K00 u0

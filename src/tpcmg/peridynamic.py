@@ -15,20 +15,19 @@ delta = 1/4 on the benchmark grids the two coincide, and for
 delta = sqrt(h) this is what reproduces the reported convergence orders).
 
 F_folded is the forcing minus the collar data's exterior-stencil sums;
-fold_boundary_rhs computes them all as one kernels block product, in
-O(r log r) per step.
+fold_boundary_rhs computes them as one kernels block product per collar
+side, in O(r log r) per step.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import (ToeplitzSpec, TpcOperator, _block_product, _check_integer,
-                      _embedded_symbols, _embedding_length)
+                      _check_real, _embedded_symbols, _embedding_length)
 
 __all__ = [
     "PdModelConfig",
@@ -61,10 +60,11 @@ class PdModelConfig:
         _check_integer("N", self.N)
         if self.N < 4 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 4, got {self.N}")
-        if self.delta != SQRT_H and not (isinstance(self.delta, numbers.Real)
-                                         and 0 < self.delta < math.inf):
-            raise ValueError(f"delta must be positive and finite or '{SQRT_H}', "
-                             f"got {self.delta!r}")
+        if self.delta != SQRT_H:
+            _check_real("delta", self.delta)
+            if not 0 < self.delta < math.inf:
+                raise ValueError(f"delta must be positive and finite or '{SQRT_H}', "
+                                 f"got {self.delta!r}")
         if self.r + 2 > self.N:
             raise ValueError(
                 f"stencil overflow: r+2 = {self.r + 2} exceeds N = {self.N}")
@@ -168,8 +168,7 @@ class PdSystem:
         for col, w in zip(columns, (self.wA, self.wD, self.wB, self.wC)):
             col[:w.size] = w
         columns /= self.scale
-        _, S0, S1 = _embedded_symbols(columns, length)
-        self._fold_spectra = (length, S0[:, None], S1[:, None])
+        self._fold_spectra = _embedded_symbols(columns, length)
 
 
 def assemble_pd_system(cfg):
@@ -271,8 +270,8 @@ def fold_boundary_rhs(system, F, collar):
     Each sum is an entry of the linear convolution of a collar vector (the
     right collar reversed) with one of the weights wA, wB (v rows) or wC,
     wD (w rows).  With the w collars one place on, every sum reads the
-    window [r, 2r], so all eight are one kernels block product over the
-    two sides, O(r log r) per step.
+    window [r, 2r], so each side's four are one kernels block product,
+    O(r log r) per step.
     """
     cfg = system.cfg
     N, r = cfg.N, cfg.r
@@ -287,21 +286,18 @@ def fold_boundary_rhs(system, F, collar):
     if F.shape != (2 * N - 1,):
         raise ValueError(f"F must have length {2 * N - 1}, got {F.shape}")
 
-    # collar-major rows (v collars, w collars) of the two sides, the w
-    # collars one place on, so that the v rows read offsets [r, 2r) and the
-    # w rows [r, 2r] of every sum
-    rows = np.zeros((2, 2, r + 1))
-    rows[0, 0], rows[0, 1] = lv, rv[::-1]
-    rows[1, 0, 1:], rows[1, 1, 1:] = lw, rw[::-1]
-    zv, zw = _block_product(rows[0], rows[1], *system._fold_spectra)
-    # F is copied only after the product: at most two fold-sized arrays
-    # are alive at once
+    # the w collars one place on, so that the v rows read offsets [r, 2r)
+    # and the w rows [r, 2r] of every sum
+    lzv, lzw = _block_product(lv, np.concatenate(([0.0], lw)),
+                              *system._fold_spectra)
+    rzv, rzw = _block_product(rv[::-1], np.concatenate(([0.0], rw[::-1])),
+                              *system._fold_spectra)
     data = F.copy()
     Fv, Fw = data[:N - 1], data[N - 1:]
-    Fv[:r] -= zv[0, r:2 * r]
-    Fw[:r + 1] -= zw[0, r:2 * r + 1]
-    Fv[N - 1 - r:] -= zv[1, r:2 * r][::-1]
-    Fw[N - 1 - r:] -= zw[1, r:2 * r + 1][::-1]
+    Fv[:r] -= lzv[r:2 * r]
+    Fw[:r + 1] -= lzw[r:2 * r + 1]
+    Fv[N - 1 - r:] -= rzv[r:2 * r][::-1]
+    Fw[N - 1 - r:] -= rzw[r:2 * r + 1][::-1]
     return data
 
 

@@ -165,6 +165,23 @@ class TestCli:
         assert "growth" in out
         assert out.count("setup=") == 2 and out.count("setup x") == 1
 
+    def test_scaling_json(self, capsys):
+        code = main(["scaling", "--model", "pd-sym", "--N", "16", "--N", "32",
+                     "--reps", "1", "--out", "json"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [row["N"] for row in out["rows"]] == [16, 32]
+        assert [ratio["N"] for ratio in out["ratios"]] == [16]
+        assert "dense_compare" not in out
+
+    def test_scaling_pretty_dense_compare(self, capsys):
+        code = main(["scaling", "--model", "pd-sym", "--N", "16", "--reps", "1",
+                     "--dense-compare-N", "16"])
+        assert code == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("dense comparison at N=16: fast ")
+        assert " vs dense " in last
+
     def test_sqrt_h_delta(self, capsys):
         code = main(["table", "--model", "pd-sym", "--N", "16",
                      "--delta", "sqrt-h", "--out", "csv"])
@@ -211,6 +228,10 @@ class TestCli:
          "--dense-compare-N: N must be a power of two >= 4, got 0"),
         (["verify", "--model", "pd-sym", "--N", "16", "--seed", "1"],
          "unrecognized arguments: --seed 1"),
+        (["table", "--model", "pd-sym", "--N", "32", "--delta", "abc"],
+         "argument --delta: delta must be a number or 'sqrt-h', got 'abc'"),
+        (["table", "--model", "pd-sym", "--N", "32", "--delta", "-1"],
+         "argument --delta: delta must be positive"),
     ])
     def test_invalid_argument_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -317,6 +317,19 @@ class TestBuildHierarchy:
             hier = build_hierarchy(system.op)
             assert hier.coefficient_storage() <= 8 * system.op.n
 
+    def test_storage_counts_banded_part(self):
+        """Each gamma level's count is its Toeplitz and cross pieces plus
+        every stored band."""
+        hier = build_hierarchy(assemble_gamma_system(GammaModelConfig(N=16, gamma=0.5)).op)
+        expected = 0
+        for op in hier.levels:
+            bands = sum(band.size for band in op.banded.bands.values())
+            assert bands > 0
+            plain = TpcOperator(op.A, op.Bbar, op.Cbar, op.Dbar, op.p, op.q,
+                                op.xi, op.zeta, op.o)
+            expected += plain.stored_count + bands
+        assert hier.coefficient_storage() == expected
+
     def test_singular_coarsest_rejected(self):
         zero = identity_tpc(7).scale_shift(0.0, 0.0)
         with pytest.raises(ValueError, match=r"n = 7 is singular"):

@@ -1,15 +1,20 @@
 """Integer and real parameters are rejected by name at the API boundary
 when they have the wrong type: a bool is not a count, and a string or a
-bool is not a step size or a tolerance."""
+bool is not a step size or a tolerance.  Values of the right type but
+outside what the API accepts are rejected with a message of their own."""
 
 import numpy as np
 import pytest
 
-from tpcmg import (GammaModelConfig, PdModelConfig, SmootherConfig,
-                   ToeplitzSpec, TransientConfig, assemble_pd_system,
-                   build_hierarchy, build_step_operator, gamma_coefficients,
+from tpcmg import (BandedCorrection, GammaModelConfig, Hierarchy,
+                   PdModelConfig, SmootherConfig, ToeplitzSpec, TpcOperator,
+                   TransientConfig, assemble_pd_system, build_hierarchy,
+                   build_step_operator, coarsen_banded, gamma_coefficients,
                    pd_coefficients, solve)
 from tpcmg.bench import run_scaling
+from tpcmg.oracle import certify_section4, dense_galerkin
+
+from conftest import zero_spec
 
 
 def _pd_system():
@@ -53,6 +58,9 @@ REAL_CALLERS = {
     "SmootherConfig.omega_pre": ("omega_pre", lambda v: SmootherConfig(omega_pre=v)),
     "SmootherConfig.omega_post": ("omega_post", lambda v: SmootherConfig(omega_post=v)),
     "solve.tol": ("tol", lambda v: _solve(tol=v)),
+    "GammaModelConfig.gamma": ("gamma", lambda v: GammaModelConfig(N=8, gamma=v)),
+    "gamma_coefficients.gamma": ("gamma", lambda v: gamma_coefficients(v, 8)),
+    "PdModelConfig.delta": ("delta", lambda v: PdModelConfig(N=8, delta=v)),
 }
 
 
@@ -62,3 +70,55 @@ def test_non_number_real_rejected(caller, value):
     name, call = REAL_CALLERS[caller]
     with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
         call(value)
+
+
+def _tpc(m, *, block_m=None, p_len=None, banded=None):
+    """A TpcOperator of half-size m with one piece of the wrong size."""
+    zeros = np.zeros(m)
+    return TpcOperator(zero_spec(m), zero_spec(block_m or m), zero_spec(m), zero_spec(m),
+                       np.zeros(p_len or m), zeros, zeros, zeros, 1.0,
+                       banded=banded)
+
+
+REJECTED_CALLS = {
+    "TransientConfig.tau=0": (
+        "tau must be positive", lambda: TransientConfig(tau=0.0)),
+    "TransientConfig.tau<0": (
+        "tau must be positive", lambda: TransientConfig(tau=-0.25)),
+    "build_hierarchy.limit=2": (
+        "coarsest size limit must be at least 3",
+        lambda: build_hierarchy(_pd_system().op, 2)),
+    "Hierarchy.empty": ("empty hierarchy", lambda: Hierarchy([])),
+    "Hierarchy.not_halving": (
+        "level sizes must halve: 15 -> 15",
+        lambda: Hierarchy([_pd_system().op] * 2)),
+    "ToeplitzSpec.coeffs": (
+        r"coeffs must have length 2m-1=5, got \(4,\)",
+        lambda: ToeplitzSpec(3, np.zeros(4))),
+    "TpcOperator.block_m": (
+        "all Toeplitz blocks must share the half-size m",
+        lambda: _tpc(3, block_m=2)),
+    "TpcOperator.cross": (
+        "cross vector p must have length 3", lambda: _tpc(3, p_len=2)),
+    "TpcOperator.banded": (
+        "banded correction size 5 != 7",
+        lambda: _tpc(3, banded=BandedCorrection(5, {0: np.ones(5)}))),
+    "gamma_coefficients.count=0": (
+        "count must be >= 1", lambda: gamma_coefficients(0.5, 0)),
+    "coarsen_banded.even": (
+        "cannot coarsen banded correction of size 8",
+        lambda: coarsen_banded(BandedCorrection(8, {0: np.ones(8)}))),
+    "dense_galerkin.non_square": (
+        "dense_galerkin needs a square matrix",
+        lambda: dense_galerkin(np.zeros((7, 5)))),
+    "certify_section4.N=128": (
+        "certification is a dense check; use N <= 64",
+        lambda: certify_section4(PdModelConfig(N=128))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_CALLS))
+def test_out_of_range_rejected(case):
+    message, call = REJECTED_CALLS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

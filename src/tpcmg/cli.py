@@ -37,9 +37,9 @@ def _add_model(p):
     p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--N", action="append", type=int, required=True,
                    help="grid size, repeatable")
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--delta", type=_delta_arg, default=0.25,
-                   help=f"horizon: positive number or '{SQRT_H}'")
+    p.add_argument("--gamma", type=float, help="gamma model only (default 0)")
+    p.add_argument("--delta", type=_delta_arg,
+                   help=f"pd models only: positive number or '{SQRT_H}' (default 0.25)")
 
 
 def build_parser():
@@ -60,7 +60,7 @@ def build_parser():
     table.add_argument("--coarsest", type=int, default=7)
     table.add_argument("--out", choices=("csv", "json", "pretty"), default="pretty")
     verify.add_argument("--r", type=int, default=None,
-                        help="mesh ratio; overrides --delta as r/N")
+                        help="pd models only: mesh ratio; overrides --delta as r/N")
     scaling.add_argument("--coarsest", type=int, default=7)
     scaling.add_argument("--reps", type=int, default=5)
     scaling.add_argument("--dense-compare-N", type=int, default=None)
@@ -69,8 +69,16 @@ def build_parser():
 
 
 def _check_args(args):
-    """Check every value the command reads before any work: an invalid one
-    raises ValueError here.  Returns the smoother for table, else None."""
+    """Check every value the command reads before any work: an invalid one,
+    or a flag the model does not read, raises ValueError here.  Fills in
+    the defaults of --gamma and --delta; returns the smoother for table,
+    else None."""
+    unread = ("delta", "r") if args.model == "gamma" else ("gamma",)
+    for flag in unread:
+        if getattr(args, flag, None) is not None:
+            raise ValueError(f"--{flag} does not apply to --model {args.model}")
+    args.gamma = 0.0 if args.gamma is None else args.gamma
+    args.delta = 0.25 if args.delta is None else args.delta
     smoother = None
     if args.command == "table":
         smoother = SmootherConfig(omega_pre=args.omega_pre, omega_post=args.omega_post,

@@ -22,8 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .kernels import (BandedCorrection, ToeplitzSpec, TpcOperator, _check_integer,
-                      _check_real)
+from .kernels import BandedCorrection, _check_integer, _check_real, _tpc_from_tables
 
 __all__ = [
     "GammaModelConfig",
@@ -177,37 +176,16 @@ class GammaSystem:
 def assemble_gamma_system(cfg):
     """Assemble the gamma-kernel system as TpcOperator + diagonal correction.
 
-    The Toeplitz-plus-Cross part holds -[M Q; P N] (first column of Q maps
-    to the cross column p, first row of P to the cross row q, entry (1,1)
-    of N to the center o); the diagonal diag(D1, D2) lives in a bandwidth-0
-    BandedCorrection because it is not constant along diagonals for
-    gamma > 0.
+    The Toeplitz-plus-Cross part holds -[M Q; P N], built from the tables
+    -m, -q, -p, -n by kernels._tpc_from_tables; the diagonal diag(D1, D2)
+    lives in a bandwidth-0 BandedCorrection because it is not constant
+    along diagonals for gamma > 0.
     """
     N = cfg.N
     co = gamma_coefficients(cfg.gamma, N)
-    m = N - 1
-
-    sym_full = lambda half: np.concatenate([half[:0:-1], half])
-    A = ToeplitzSpec(m, -sym_full(co.m))
-    Dbar = ToeplitzSpec(m, -sym_full(co.n[:m]))
-
-    # Q = toeplitz([q_0..q_{N-2}], [q_0, q_0, q_1, ..]): column p, block Bbar
-    bbar = np.concatenate([co.q[m - 2::-1], co.q[:m]])   # b_l = q_l (l>=0), q_{-l-1} (l<0)
-    Bbar = ToeplitzSpec(m, -bbar)
-    p = -co.q[:m]
-    # P = toeplitz([p_0, p_0, p_1, ..], [p_0..p_{N-2}]): row q, block Cbar
-    cbar = np.concatenate([co.p[m - 1::-1], co.p[:m - 1]])  # c_l = p_{-l} (l<=0), p_{l-1} (l>0)
-    Cbar = ToeplitzSpec(m, -cbar)
-    q = -co.p[:m]
-
-    o = -co.n[0]
-    zeta = -co.n[1:N]
-    xi = -co.n[1:N]
-
     diag = np.concatenate([co.d[1::2], co.d[0::2]])
-    banded = BandedCorrection(2 * m + 1, {0: diag})
-
-    op = TpcOperator(A, Bbar, Cbar, Dbar, p, q, xi, zeta, o, banded=banded)
+    banded = BandedCorrection(2 * N - 1, {0: diag})
+    op = _tpc_from_tables(N - 1, -co.m, -co.q, -co.p, -co.n, banded)
     scale = (3.0 - cfg.gamma) * (2.0 - cfg.gamma) * (1.0 - cfg.gamma) / cfg.h ** (1.0 - cfg.gamma)
     return GammaSystem(cfg, op, scale, co)
 

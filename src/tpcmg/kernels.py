@@ -24,6 +24,9 @@ equal), so every product is assembled the same way: x[m] times the column,
 the block product's two rows added into its slices, the row's dot product
 with x as entry m, and the banded product added if there is one.
 
+_tpc_from_tables is the one mapping of a block matrix [M Q; P N], given
+by distance tables, onto the cross layout; both models assemble through it.
+
 The operator classes here store only generating sequences (O(n) memory),
 each a read-only copy of what the constructor was given, and are
 immutable after construction apart from lazily filled symbol caches, so
@@ -512,3 +515,36 @@ class TpcOperator:
             count += self.banded.stored_count
         return count
 
+
+def _tpc_from_tables(m, tM, tQ, tP, tN, banded=None):
+    """The TpcOperator of the (2m+1) x (2m+1) block matrix [M Q; P N]
+    (plus ``banded``) whose blocks are given by distance tables:
+
+        M[i, j] = tM[|i - j|]                       (m x m),
+        N[i, j] = tN[|i - j|]                       ((m+1) x (m+1)),
+        Q = toeplitz(tQ, [tQ_0, tQ_0, tQ_1, ..])    (m x (m+1)),
+        P = toeplitz([tP_0, tP_0, tP_1, ..], tP)    ((m+1) x m).
+
+    A table reads as zero past its end, and entries past its block are
+    never read.  Both models' collocation systems have this layout
+    (integer nodes, then half nodes), and the first half node is the
+    cross: p is Q's first column and Bbar its other columns
+    (b_l = tQ_l for l >= 0, tQ_{-l-1} for l < 0); q is P's first row and
+    Cbar its other rows (c_l = tP_{-l} for l <= 0, tP_{l-1} for l >= 1);
+    o = tN_0, zeta = xi = (tN_1, tN_2, ..), A is M and Dbar is N's trailing
+    m x m block.
+    """
+    def fit(table, size):
+        out = np.zeros(size)
+        table = np.asarray(table, dtype=float)[:size]
+        out[:table.size] = table
+        return out
+
+    tM, tQ, tP, tN = fit(tM, m), fit(tQ, m), fit(tP, m), fit(tN, m + 1)
+    # generating sequences over the offsets -(m-1) .. m-1
+    A = ToeplitzSpec(m, np.concatenate([tM[1:][::-1], tM]))
+    Bbar = ToeplitzSpec(m, np.concatenate([tQ[:m - 1][::-1], tQ]))
+    Cbar = ToeplitzSpec(m, np.concatenate([tP[::-1], tP[:m - 1]]))
+    Dbar = ToeplitzSpec(m, np.concatenate([tN[1:m][::-1], tN[:m]]))
+    xi = tN[1:]
+    return TpcOperator(A, Bbar, Cbar, Dbar, tQ, tP, xi, xi, tN[0], banded)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (ToeplitzSpec, TpcOperator, _block_product, _check_integer,
-                      _check_real, _embedded_symbols, _embedding_length)
+from .kernels import (_block_product, _check_integer, _check_real, _embedded_symbols,
+                      _embedding_length, _tpc_from_tables)
 
 __all__ = [
     "PdModelConfig",
@@ -102,24 +102,25 @@ class PdModelConfig:
 
 @dataclass
 class PdCoefficients:
-    """Stencil weights: a (r+1, integer offsets), a_half (r, half offsets);
-    c and d are the half-node row tables of the nonsymmetric variant and
-    are None for the shifted-symmetric one (which reuses the a tables)."""
+    """Stencil weights: a (r+1, integer offsets) and a_half (r, half
+    offsets) of the v rows; c (r+1, half offsets) and d (r+1, integer
+    offsets) of the w rows."""
 
     a: np.ndarray
     a_half: np.ndarray
-    c: np.ndarray | None
-    d: np.ndarray | None
+    c: np.ndarray
+    d: np.ndarray
 
 
 def pd_coefficients(r, symmetric):
     """Integer and half-integer coefficient tables for mesh ratio r.
 
     a_0 = 12r-2, a_m = -2 (1 <= m <= r-1), a_r = -1, a_{m+1/2} = -4;
-    nonsymmetric w-rows add c_m = -2 (0 <= m <= r-2), c_{r-1} = -9/4,
+    nonsymmetric w-rows have c_m = -2 (0 <= m <= r-2), c_{r-1} = -9/4,
     c_r = 1/4 and d_0 = 12r-4, d_m = -4, d_r = -2.  Where the ranges
     collide at small r the later, more specific assignments win (r = 1
-    leaves the generic ranges empty).
+    leaves the generic ranges empty).  The shifted-symmetric w-rows mirror
+    the v rows: c = (a_{1/2}, .., a_{r-1/2}, 0) and d = a.
     """
     _check_integer("r", r)
     r = int(r)
@@ -130,7 +131,7 @@ def pd_coefficients(r, symmetric):
     a[r] = -1.0
     a_half = np.full(r, -4.0)
     if symmetric:
-        return PdCoefficients(a=a, a_half=a_half, c=None, d=None)
+        return PdCoefficients(a=a, a_half=a_half, c=np.append(a_half, 0.0), d=a.copy())
     c = np.full(r + 1, -2.0)
     c[r - 1] = -9.0 / 4.0
     c[r] = 1.0 / 4.0
@@ -152,14 +153,8 @@ class PdSystem:
         r = cfg.r
         self.wA = np.concatenate([coeffs.a[1:], [0.0]])          # length r+1
         self.wB = np.concatenate([coeffs.a_half[1:], [0.0]])     # length r
-        if cfg.symmetric:
-            self.wC = np.concatenate([coeffs.a_half, [0.0]])     # length r+1
-            self.wD = coeffs.a[1:].copy()                        # length r
-        else:
-            self.wC = coeffs.c.copy()
-            self.wD = coeffs.d[1:].copy()
-        assert self.wA.size == r + 1 and self.wC.size == r + 1
-        assert self.wB.size == r and self.wD.size == r
+        self.wC = coeffs.c.copy()                                # length r+1
+        self.wD = coeffs.d[1:].copy()                            # length r
         # the embedding columns of the fold's blocks (K00, K11, K01, K10):
         # (wA, wD, wB, wC) / eta, zero-padded to a length that no linear sum
         # wraps past
@@ -172,58 +167,12 @@ class PdSystem:
 
 
 def assemble_pd_system(cfg):
-    """Map the block system [A B; C D] onto a TpcOperator.
-
-    p is the first column of B, Bbar the remaining columns; q the first
-    row of C, Cbar the remaining rows; o = D(1,1), zeta = D(1,2:),
-    xi = D(2:,1), Dbar = D(2:,2:).  All five pieces stay Toeplitz or
-    constant by construction.
-    """
+    """The block system [A B; C D] as a TpcOperator: kernels._tpc_from_tables
+    of the v-row tables a, a_half and the w-row tables c, d.  The variants
+    differ only in their tables: the shifted-symmetric c and d mirror the
+    v rows, which makes C = B^T and gives D the distance table of A."""
     co = pd_coefficients(cfg.r, cfg.symmetric)
-    N, r = cfg.N, cfg.r
-    m = N - 1
-
-    def sym_spec(table):
-        full = np.zeros(2 * m - 1)
-        full[m - 1:m - 1 + table.size] = table
-        full[m - 1::-1][:table.size] = table
-        return ToeplitzSpec(m, full)
-
-    A = sym_spec(co.a)
-    # B = toeplitz([a_{1/2}, a_{3/2}, ..], [a_{1/2}, a_{1/2}, a_{3/2}, ..]):
-    # Bbar has b_l = a_{l+1/2} for l >= 0 and a_{-l-1/2} for l < 0.
-    bfull = np.zeros(2 * m - 1)
-    bfull[m - 1:m - 1 + r] = co.a_half             # l = 0..r-1
-    bfull[m - 2::-1][:r] = co.a_half               # l = -1..-r
-    Bbar = ToeplitzSpec(m, bfull)
-    p = np.zeros(m)
-    p[:r] = co.a_half
-
-    if cfg.symmetric:
-        Cbar = Bbar.transpose()
-        q = p.copy()
-        Dbar = sym_spec(co.a)
-        o = co.a[0]
-        zeta = np.zeros(m)
-        zeta[:r] = co.a[1:]
-        xi = zeta.copy()
-    else:
-        # C = toeplitz([c_0, c_0, c_1, ..], [c_0, c_1, ..]):
-        # Cbar has c_l = c_{-l} for l <= 0 and c_{l-1} for l >= 1.
-        cfull = np.zeros(2 * m - 1)
-        cfull[m - 1::-1][:r + 1] = co.c             # l = 0..-r
-        hi = min(r + 1, m - 1)                      # l = 1..r+1, clipped at m-1
-        cfull[m:m + hi] = co.c[:hi]
-        Cbar = ToeplitzSpec(m, cfull)
-        q = np.zeros(m)
-        q[:r + 1] = co.c
-        Dbar = sym_spec(co.d)
-        o = co.d[0]
-        zeta = np.zeros(m)
-        zeta[:r] = co.d[1:]
-        xi = zeta.copy()
-
-    op = TpcOperator(A, Bbar, Cbar, Dbar, p, q, xi, zeta, o)
+    op = _tpc_from_tables(cfg.N - 1, co.a, co.a_half, co.c, co.d)
     return PdSystem(cfg, op, co)
 
 

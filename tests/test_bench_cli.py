@@ -192,46 +192,82 @@ class TestCli:
             main(["table", "--model", "laplace", "--N", "8"])
         assert exc.value.code == 2
 
+    # explicit ids, so that a new case renames no other; the first cases
+    # keep the argv<k> ids that their list positions once gave them
     @pytest.mark.parametrize("argv,message", [
-        (["table", "--model", "pd-sym", "--N", "6"], "N must be a power of two"),
-        (["table", "--model", "pd-sym", "--N", "16", "--m1", "-1"], "m1 must be"),
-        (["table", "--model", "gamma", "--N", "16", "--gamma", "1.5"], "gamma must be"),
-        (["table", "--model", "pd-sym", "--N", "16", "--omega-post", "0"], "omega_post"),
-        (["table", "--model", "pd-sym", "--N", "16", "--tol", "0"], "tol must be"),
-        (["verify", "--model", "pd-sym", "--N", "8", "--r", "7"], "stencil overflow"),
-        (["scaling", "--model", "pd-sym", "--N", "64", "--N", "96"], "N must be"),
-        (["table", "--model", "pd-sym", "--N", "16", "--coarsest", "0"],
-         "--coarsest must be at least 3"),
-        (["scaling", "--model", "pd-sym", "--N", "16", "--reps", "0"],
-         "--reps must be at least 1"),
-        (["verify", "--model", "pd-sym", "--N", "16", "--m1", "2"],
-         "unrecognized arguments: --m1 2"),
-        (["verify", "--model", "pd-sym", "--N", "16", "--out", "json"],
-         "unrecognized arguments: --out json"),
-        (["verify", "--model", "pd-sym", "--N", "16", "--tol", "0"],
-         "unrecognized arguments: --tol 0"),
-        (["scaling", "--model", "pd-sym", "--N", "16", "--seed", "1"],
-         "unrecognized arguments: --seed 1"),
-        (["scaling", "--model", "pd-sym", "--N", "16", "--out", "csv"],
-         "argument --out: invalid choice: 'csv'"),
-        (["table", "--model", "pd-sym", "--N", "16", "--seed", "1"],
-         "unrecognized arguments: --seed 1"),
-        (["table", "--model", "pd-sym", "--N", "32", "--delta", "inf"],
-         "delta must be positive and finite"),
-        (["table", "--model", "pd-sym", "--N", "32", "--delta", "1e400"],
-         "delta must be positive and finite"),
-        (["verify", "--model", "pd-sym", "--N", "32", "--delta", "inf"],
-         "delta must be positive and finite"),
-        (["scaling", "--model", "pd-sym", "--N", "16", "--dense-compare-N", "6"],
-         "--dense-compare-N: N must be a power of two >= 4, got 6"),
-        (["scaling", "--model", "pd-sym", "--N", "16", "--dense-compare-N", "0"],
-         "--dense-compare-N: N must be a power of two >= 4, got 0"),
-        (["verify", "--model", "pd-sym", "--N", "16", "--seed", "1"],
-         "unrecognized arguments: --seed 1"),
-        (["table", "--model", "pd-sym", "--N", "32", "--delta", "abc"],
-         "argument --delta: delta must be a number or 'sqrt-h', got 'abc'"),
-        (["table", "--model", "pd-sym", "--N", "32", "--delta", "-1"],
-         "argument --delta: delta must be positive"),
+        pytest.param(["table", "--model", "pd-sym", "--N", "6"], "N must be a power of two",
+                     id="argv0-N must be a power of two"),
+        pytest.param(["table", "--model", "pd-sym", "--N", "16", "--m1", "-1"], "m1 must be",
+                     id="argv1-m1 must be"),
+        pytest.param(["table", "--model", "gamma", "--N", "16", "--gamma", "1.5"],
+                     "gamma must be", id="argv2-gamma must be"),
+        pytest.param(["table", "--model", "pd-sym", "--N", "16", "--omega-post", "0"],
+                     "omega_post", id="argv3-omega_post"),
+        pytest.param(["table", "--model", "pd-sym", "--N", "16", "--tol", "0"], "tol must be",
+                     id="argv4-tol must be"),
+        pytest.param(["verify", "--model", "pd-sym", "--N", "8", "--r", "7"],
+                     "stencil overflow", id="argv5-stencil overflow"),
+        pytest.param(["scaling", "--model", "pd-sym", "--N", "64", "--N", "96"], "N must be",
+                     id="argv6-N must be"),
+        pytest.param(["table", "--model", "pd-sym", "--N", "16", "--coarsest", "0"],
+                     "--coarsest must be at least 3",
+                     id="argv7---coarsest must be at least 3"),
+        pytest.param(["scaling", "--model", "pd-sym", "--N", "16", "--reps", "0"],
+                     "--reps must be at least 1", id="argv8---reps must be at least 1"),
+        pytest.param(["verify", "--model", "pd-sym", "--N", "16", "--m1", "2"],
+                     "unrecognized arguments: --m1 2",
+                     id="argv9-unrecognized arguments: --m1 2"),
+        pytest.param(["verify", "--model", "pd-sym", "--N", "16", "--out", "json"],
+                     "unrecognized arguments: --out json",
+                     id="argv10-unrecognized arguments: --out json"),
+        pytest.param(["verify", "--model", "pd-sym", "--N", "16", "--tol", "0"],
+                     "unrecognized arguments: --tol 0",
+                     id="argv11-unrecognized arguments: --tol 0"),
+        pytest.param(["scaling", "--model", "pd-sym", "--N", "16", "--seed", "1"],
+                     "unrecognized arguments: --seed 1",
+                     id="argv12-unrecognized arguments: --seed 1"),
+        pytest.param(["scaling", "--model", "pd-sym", "--N", "16", "--out", "csv"],
+                     "argument --out: invalid choice: 'csv'",
+                     id="argv13-argument --out: invalid choice: 'csv'"),
+        pytest.param(["table", "--model", "pd-sym", "--N", "16", "--seed", "1"],
+                     "unrecognized arguments: --seed 1",
+                     id="argv14-unrecognized arguments: --seed 1"),
+        pytest.param(["table", "--model", "pd-sym", "--N", "32", "--delta", "inf"],
+                     "delta must be positive and finite",
+                     id="argv15-delta must be positive and finite"),
+        pytest.param(["table", "--model", "pd-sym", "--N", "32", "--delta", "1e400"],
+                     "delta must be positive and finite",
+                     id="argv16-delta must be positive and finite"),
+        pytest.param(["verify", "--model", "pd-sym", "--N", "32", "--delta", "inf"],
+                     "delta must be positive and finite",
+                     id="argv17-delta must be positive and finite"),
+        pytest.param(["scaling", "--model", "pd-sym", "--N", "16", "--dense-compare-N", "6"],
+                     "--dense-compare-N: N must be a power of two >= 4, got 6",
+                     id="argv18---dense-compare-N: N must be a power of two >= 4, got 6"),
+        pytest.param(["scaling", "--model", "pd-sym", "--N", "16", "--dense-compare-N", "0"],
+                     "--dense-compare-N: N must be a power of two >= 4, got 0",
+                     id="argv19---dense-compare-N: N must be a power of two >= 4, got 0"),
+        pytest.param(["verify", "--model", "pd-sym", "--N", "16", "--seed", "1"],
+                     "unrecognized arguments: --seed 1",
+                     id="argv20-unrecognized arguments: --seed 1"),
+        pytest.param(["table", "--model", "pd-sym", "--N", "32", "--delta", "abc"],
+                     "argument --delta: delta must be a number or 'sqrt-h', got 'abc'",
+                     id="argv21-argument --delta: delta must be a number or 'sqrt-h', "
+                        "got 'abc'"),
+        pytest.param(["table", "--model", "pd-sym", "--N", "32", "--delta", "-1"],
+                     "argument --delta: delta must be positive",
+                     id="argv22-argument --delta: delta must be positive"),
+        pytest.param(["verify", "--model", "gamma", "--N", "16", "--r", "3"],
+                     "--r does not apply to --model gamma", id="gamma-with-r"),
+        pytest.param(["table", "--model", "gamma", "--N", "16", "--delta", "0.1"],
+                     "--delta does not apply to --model gamma", id="gamma-with-delta"),
+        pytest.param(["scaling", "--model", "gamma", "--N", "16", "--delta", "0.25"],
+                     "--delta does not apply to --model gamma", id="gamma-with-default-delta"),
+        pytest.param(["table", "--model", "pd-sym", "--N", "16", "--gamma", "0.7"],
+                     "--gamma does not apply to --model pd-sym", id="pd-sym-with-gamma"),
+        pytest.param(["verify", "--model", "pd-nonsym", "--N", "16", "--gamma", "0"],
+                     "--gamma does not apply to --model pd-nonsym",
+                     id="pd-nonsym-with-default-gamma"),
     ])
     def test_invalid_argument_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

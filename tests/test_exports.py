@@ -151,6 +151,37 @@ def test_transforms_only_in_kernels(path):
     assert not uses, f"{path.name} uses the FFT layer directly: {uses}"
 
 
+def operator_constructions(source):
+    """Sorted names of the operator classes, ToeplitzSpec and TpcOperator,
+    that ``source`` calls, by bare name or as an attribute."""
+    classes = ("ToeplitzSpec", "TpcOperator")
+    called = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in classes:
+                called.add(name)
+    return sorted(called)
+
+
+def test_operator_construction_detected():
+    assert operator_constructions("op = TpcOperator(A, B, C, D, p, q, x, z, o)\n"
+                                  "t = kernels.ToeplitzSpec(3, c)\n") == [
+        "ToeplitzSpec", "TpcOperator"]
+    assert operator_constructions("from .kernels import TpcOperator\n"
+                                  "op = _tpc_from_tables(3, a, b, c, d)\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE_SOURCES
+                                  if p.name not in ("kernels.py", "hierarchy.py")],
+                         ids=lambda p: p.name)
+def test_operators_built_only_in_kernels_and_hierarchy(path):
+    """The models build their operators through kernels._tpc_from_tables,
+    the one mapping of [M Q; P N] onto the cross layout."""
+    called = operator_constructions(path.read_text())
+    assert not called, f"{path.name} constructs operators directly: {called}"
+
+
 def package_imports(source):
     """Sorted (module, name) of each tpcmg module ``source`` imports from,
     relatively or by absolute name; name is None for a whole module."""

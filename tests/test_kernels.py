@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -264,6 +265,34 @@ class TestTpcOperator:
         band[0] = np.nan
         with pytest.raises(ValueError, match="banded band 0"):
             TpcOperator(**dict(parts, banded=BandedCorrection(band.size, {0: band})))
+
+
+class TestTablesBuilder:
+    @pytest.mark.parametrize("banded", [False, True])
+    @pytest.mark.parametrize("m", [3, 7, 31, 255])
+    def test_dense_equals_toeplitz_blocks(self, rng, m, banded):
+        """Each table runs through every length 1 .. m+2, so it is shorter
+        than, as long as and longer than its block; the four lengths are
+        staggered so that they differ within a draw."""
+        def pad(table, size):
+            return np.concatenate([table, np.zeros(size)])[:size]
+
+        span = m + 2
+        for k in range(span):
+            tM, tQ, tP, tN = (rng.standard_normal((k + shift) % span + 1)
+                              for shift in (0, 1, span // 2, span - 1))
+            M = scipy.linalg.toeplitz(pad(tM, m))
+            N = scipy.linalg.toeplitz(pad(tN, m + 1))
+            Q = scipy.linalg.toeplitz(pad(tQ, m), pad(np.r_[tQ[0], tQ], m + 1))
+            P = scipy.linalg.toeplitz(pad(np.r_[tP[0], tP], m + 1), pad(tP, m))
+            expected = np.block([[M, Q], [P, N]])
+            diag = None
+            if banded:
+                diag = rng.standard_normal(2 * m + 1)
+                diag = BandedCorrection(diag.size, {0: diag})
+                expected += np.diag(diag.bands[0])
+            op = kernels._tpc_from_tables(m, tM, tQ, tP, tN, diag)
+            assert np.array_equal(op.dense(), expected)
 
 
 def _windowed_spec(rng, m, short, sym=False):

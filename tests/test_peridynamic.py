@@ -33,9 +33,13 @@ class TestCoefficients:
         # w-row analogue: d_0 + 2 sum d_m + 2 sum c_m = 0
         assert co.d[0] + 2 * co.d[1:].sum() + 2 * co.c.sum() == pytest.approx(0.0)
 
-    def test_symmetric_has_no_cd(self):
-        co = pd_coefficients(3, symmetric=True)
-        assert co.c is None and co.d is None
+    @pytest.mark.parametrize("r", [1, 2, 3, 17])
+    def test_symmetric_tables_mirror_v_rows(self, r):
+        co = pd_coefficients(r, symmetric=True)
+        assert co.c.tolist() == co.a_half.tolist() + [0.0]
+        assert co.d.tolist() == co.a.tolist()
+        op = kernels._tpc_from_tables(2 * r + 1, co.a, co.a_half, co.c, co.d)
+        assert op.symmetric and op.row is op.col
 
     def test_invalid_r(self):
         with pytest.raises(ValueError):

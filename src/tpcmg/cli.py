@@ -60,7 +60,7 @@ def build_parser():
     table.add_argument("--coarsest", type=int, default=7)
     table.add_argument("--out", choices=("csv", "json", "pretty"), default="pretty")
     verify.add_argument("--r", type=int, default=None,
-                        help="pd models only: mesh ratio; overrides --delta as r/N")
+                        help="pd models only: mesh ratio r >= 1 for delta = r/N, not with --delta")
     scaling.add_argument("--coarsest", type=int, default=7)
     scaling.add_argument("--reps", type=int, default=5)
     scaling.add_argument("--dense-compare-N", type=int, default=None)
@@ -77,6 +77,11 @@ def _check_args(args):
     for flag in unread:
         if getattr(args, flag, None) is not None:
             raise ValueError(f"--{flag} does not apply to --model {args.model}")
+    r = getattr(args, "r", None)
+    if r is not None and args.delta is not None:
+        raise ValueError("--r and --delta both set the horizon: give one of them")
+    if r is not None and r < 1:
+        raise ValueError(f"--r must be at least 1, got {r}")
     args.gamma = 0.0 if args.gamma is None else args.gamma
     args.delta = 0.25 if args.delta is None else args.delta
     smoother = None
@@ -88,7 +93,6 @@ def _check_args(args):
         raise ValueError(f"--coarsest must be at least 3, got {args.coarsest}")
     if "reps" in args and args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
-    r = getattr(args, "r", None)
     for N in args.N:
         model_config(args.model, N, args.gamma, args.delta if r is None else r / N)
     dense_N = getattr(args, "dense_compare_N", None)

@@ -154,20 +154,20 @@ def gamma_coefficients(gamma, count):
 
 
 class GammaSystem:
-    """Assembled collocation system A_h = diag(D1, D2) - [M Q; P N]."""
+    """Assembled collocation system A_h = diag(D1, D2) - [M Q; P N]: cfg, op,
+    scale and eta, the one coefficient table boundary_vector reads."""
 
-    def __init__(self, cfg, op, scale, coeffs):
+    def __init__(self, cfg, op, scale, eta):
         self.cfg = cfg
         self.op = op
         self.scale = scale
-        self.coeffs = coeffs
+        self.eta = eta
 
     def boundary_vector(self, u_a, u_b):
         """Boundary contribution K(u_a, u_b) in forcing units, so that the
         assembled system reads op @ U = scale * (F + K)."""
-        eta = self.coeffs.eta
-        ev = eta[1::2]       # integer rows: eta_1 .. eta_{N-1}
-        ew = eta[0::2]       # half rows: eta_{1/2} .. eta_{N-1/2}
+        ev = self.eta[1::2]       # integer rows: eta_1 .. eta_{N-1}
+        ew = self.eta[0::2]       # half rows: eta_{1/2} .. eta_{N-1/2}
         kv = ev * u_a + ev[::-1] * u_b
         kw = ew * u_a + ew[::-1] * u_b
         return np.concatenate([kv, kw]) / self.scale
@@ -187,7 +187,7 @@ def assemble_gamma_system(cfg):
     banded = BandedCorrection(2 * N - 1, {0: diag})
     op = _tpc_from_tables(N - 1, -co.m, -co.q, -co.p, -co.n, banded)
     scale = (3.0 - cfg.gamma) * (2.0 - cfg.gamma) * (1.0 - cfg.gamma) / cfg.h ** (1.0 - cfg.gamma)
-    return GammaSystem(cfg, op, scale, co)
+    return GammaSystem(cfg, op, scale, co.eta)
 
 
 def gamma_exact_forcing(x, t, gamma):

@@ -283,6 +283,8 @@ class BandedCorrection:
     both cases indexed from the top-left; band l has length n - |l|.  Houses
     the non-Toeplitz diagonal part of the gamma-kernel model and its
     Galerkin descendants (diagonal coarsens to tridiagonal, then stays).
+    Each band is a read-only copy, and a band bitwise equal to its mirror
+    is stored once: bands[-l] is bands[l].
     """
 
     def __init__(self, n, bands):
@@ -293,7 +295,9 @@ class BandedCorrection:
             if band.shape != (n - abs(l),):
                 raise ValueError(f"band {l} must have length {n - abs(l)}, got {band.shape}")
             if np.any(band):
-                band = self.bands[int(l)] = band.copy()
+                mirror = self.bands.get(-int(l))
+                shared = mirror is not None and band.tobytes() == mirror.tobytes()
+                band = self.bands[int(l)] = mirror if shared else band.copy()
                 band.flags.writeable = False
 
     @property
@@ -302,16 +306,11 @@ class BandedCorrection:
 
     @property
     def stored_count(self):
+        """Entries of all bands, a shared mirror pair counted twice."""
         return sum(b.size for b in self.bands.values())
 
     def band(self, l):
         return self.bands.get(l)
-
-    def main_diagonal(self):
-        d = np.zeros(self.n)
-        if 0 in self.bands:
-            d += self.bands[0]
-        return d
 
     def matvec(self, x):
         """Product with x in a fresh array that starts as band_0 * x, with
@@ -487,7 +486,7 @@ class TpcOperator:
             np.full(self.m, self.Dbar.coeff(0)),
         ])
         if self.banded is not None:
-            d += self.banded.main_diagonal()
+            d += self.banded.bands.get(0, 0.0)
         return d
 
     def scale_shift(self, scale, shift):

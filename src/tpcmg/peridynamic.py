@@ -142,25 +142,20 @@ def pd_coefficients(r, symmetric):
 
 
 class PdSystem:
-    """Assembled system with the fold weight vectors of the RHS collars and
-    their spectra (see fold_boundary_rhs)."""
+    """Assembled system: cfg, op, its scale eta_h and the spectra of the
+    collar fold weights (see fold_boundary_rhs), not the tables."""
 
     def __init__(self, cfg, op, coeffs):
         self.cfg = cfg
         self.op = op
         self.scale = cfg.eta
-        self.coeffs = coeffs
-        r = cfg.r
-        self.wA = np.concatenate([coeffs.a[1:], [0.0]])          # length r+1
-        self.wB = np.concatenate([coeffs.a_half[1:], [0.0]])     # length r
-        self.wC = coeffs.c.copy()                                # length r+1
-        self.wD = coeffs.d[1:].copy()                            # length r
         # the embedding columns of the fold's blocks (K00, K11, K01, K10):
-        # (wA, wD, wB, wC) / eta, zero-padded to a length that no linear sum
-        # wraps past
-        length = _embedding_length(r + 1, r)
+        # the weights wA = (a_1 .. a_r, 0), wD = d_1 .. d_r,
+        # wB = (a_{3/2} .. a_{r-1/2}, 0) and wC = c, over eta, zero-padded
+        # to a length that no linear sum wraps past
+        length = _embedding_length(cfg.r + 1, cfg.r)
         columns = np.zeros((4, length))
-        for col, w in zip(columns, (self.wA, self.wD, self.wB, self.wC)):
+        for col, w in zip(columns, (coeffs.a[1:], coeffs.d[1:], coeffs.a_half[1:], coeffs.c)):
             col[:w.size] = w
         columns /= self.scale
         self._fold_spectra = _embedded_symbols(columns, length)

@@ -122,18 +122,18 @@ def bdf4_march(problem, cfg, smoother=None, tol=1e-15, max_iter=200, coarsest=7)
 
     result = MarchResult(u_final=None, max_error=np.nan)
     t_solve = 0.0
-    u = history[-1]
     for k in range(4, cfg.steps + 1):
-        t = k * tau
-        b = tau * problem.rhs(t)
+        b = tau * problem.rhs(k * tau)
         for w, uj in zip(BDF4_HISTORY, reversed(history)):
             b += w * uj
+        # no later step reads the oldest vector: free it before the solve
+        del history[0], uj
         t0 = time.perf_counter()
         u, rep = solve(hier, b, smoother, tol=tol, max_iter=max_iter)
         t_solve += time.perf_counter() - t0
         result.iterations.append(rep.iterations)
         result.reports.append(rep)
-        history = history[1:] + [u]
+        history.append(u)
 
     result.u_final = u
     result.solve_time = t_solve

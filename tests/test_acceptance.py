@@ -174,6 +174,7 @@ def test_criterion_8_section4_certification():
             + " ".join(details) + f", {elapsed:.1f} s")
 
 
+@pytest.mark.slow
 def test_criterion_9_complexity_and_storage():
     t0 = time.perf_counter()
     ok = True

@@ -268,6 +268,13 @@ class TestCli:
         pytest.param(["verify", "--model", "pd-nonsym", "--N", "16", "--gamma", "0"],
                      "--gamma does not apply to --model pd-nonsym",
                      id="pd-nonsym-with-default-gamma"),
+        pytest.param(["verify", "--model", "pd-sym", "--N", "16", "--r", "0"],
+                     "--r must be at least 1, got 0", id="verify-r-zero"),
+        pytest.param(["verify", "--model", "pd-nonsym", "--N", "16", "--r", "-2"],
+                     "--r must be at least 1, got -2", id="verify-r-negative"),
+        pytest.param(["verify", "--model", "pd-sym", "--N", "16", "--r", "2",
+                      "--delta", "0.25"],
+                     "--r and --delta both set the horizon", id="verify-r-with-delta"),
     ])
     def test_invalid_argument_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import copy
 import sys
 import time
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
                    ToeplitzSpec, TpcOperator, assemble_gamma_system,
                    assemble_pd_system, build_hierarchy, build_step_operator,
-                   coarsen_tpc, toeplitz_matvec)
+                   coarsen_banded, coarsen_tpc, toeplitz_matvec)
 from tpcmg import kernels
 
 from conftest import (break_mirror, dense_toeplitz, identity_spec, identity_tpc,
@@ -128,6 +129,43 @@ class TestBanded:
     def test_band_length_validation(self):
         with pytest.raises(ValueError):
             BandedCorrection(5, {1: np.ones(5)})
+
+    def test_mirrored_bands_share_one_array(self, rng):
+        """A band bitwise equal to its mirror is stored once, read-only,
+        through the constructor, scaled and coarsen_banded; the products do
+        not change bitwise, and stored_count counts both bands."""
+        n = 15
+        near, far = rng.standard_normal(n - 1), rng.standard_normal(n - 2)
+        bc = BandedCorrection(n, {-2: far, -1: near, 0: rng.standard_normal(n),
+                                  1: near.copy(), 2: far.copy()})
+        assert bc.stored_count == 5 * n - 6
+        for part in (bc, bc.scaled(-0.3), coarsen_banded(bc)):
+            for l in (1, 2):
+                if l in part.bands:
+                    assert part.bands[-l] is part.bands[l]
+            assert not any(b.flags.writeable for b in part.bands.values())
+            unshared = copy.copy(part)
+            unshared.bands = {l: b.copy() for l, b in part.bands.items()}
+            x = rng.standard_normal(part.n)
+            assert part.matvec(x).tobytes() == unshared.matvec(x).tobytes()
+            assert part.dense().tobytes() == unshared.dense().tobytes()
+
+    @pytest.mark.parametrize("mirror", [
+        pytest.param(lambda b: b + 1.0, id="values"),
+        pytest.param(lambda b: np.where(b == 0.0, -0.0, b), id="signed-zero"),
+    ])
+    def test_asymmetric_pair_stays_two_arrays(self, rng, mirror):
+        band = rng.standard_normal(12)
+        band[3] = 0.0
+        bc = BandedCorrection(13, {1: band, -1: mirror(band)})
+        assert bc.bands[1] is not bc.bands[-1]
+        assert bc.bands[-1].tobytes() == mirror(band).tobytes()
+
+    def test_gamma_coarse_levels_share_their_off_diagonals(self):
+        cfg = GammaModelConfig(N=64, gamma=0.5)
+        op = build_step_operator(assemble_gamma_system(cfg), cfg.h)
+        for level in build_hierarchy(op).levels[1:]:
+            assert level.banded.bands[-1] is level.banded.bands[1]
 
 
 class TestTpcOperator:

@@ -151,14 +151,17 @@ class TestAssembly:
 def _fold_by_convolution(system, F, collar):
     """The fold as eight direct convolutions: each exterior sum is an entry
     of the full linear convolution of a collar vector (the right collar
-    reversed) with one of the weight vectors."""
+    reversed) with one of the weight vectors, read off the coefficient
+    tables of the system's configuration."""
     cfg = system.cfg
     N, r, eta = cfg.N, cfg.r, system.scale
     lv, lw, rv, rw = np.split(np.asarray(collar, dtype=float),
                               [r + 1, 2 * r + 1, 3 * r + 2])
     data = np.array(F, dtype=float)
     Fv, Fw = data[:N - 1], data[N - 1:]
-    wA, wB, wC, wD = system.wA, system.wB, system.wC, system.wD
+    co = pd_coefficients(r, cfg.symmetric)
+    wA, wB = np.append(co.a[1:], 0.0), np.append(co.a_half[1:], 0.0)
+    wC, wD = co.c, co.d[1:]
 
     def sums(cv, cw):
         # v rows j = 1..r and w rows j = 1..r+1, counted from the collar;

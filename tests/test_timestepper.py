@@ -1,4 +1,5 @@
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -106,6 +107,26 @@ class TestMarch:
         result = bdf4_march(problem, TransientConfig(tau=1.0 / 16.0))
         assert type(result.u_final) is np.ndarray and result.u_final.shape == (31,)
         assert np.abs(result.u_final - problem.exact(1.0)).max() == result.max_error
+
+    def test_oldest_history_freed_before_each_solve(self, monkeypatch):
+        """Step k's solve starts after the march has let go of step k - 4's
+        solution: each solve runs with three history vectors alive."""
+        solve = timestepper.solve
+        solutions = []          # a weakref to the solution of step 4 + i
+
+        def tracked(hier, b, *args, **kwargs):
+            k = 4 + len(solutions)
+            if k >= 8:          # step k - 4 was a solve, not the startup
+                assert solutions[k - 8]() is None, f"step {k - 4} alive at step {k}"
+            x, rep = solve(hier, b, *args, **kwargs)
+            solutions.append(weakref.ref(x))
+            return x, rep
+
+        monkeypatch.setattr(timestepper, "solve", tracked)
+        problem = pd_manufactured_problem(PdModelConfig(N=16, delta=0.25, symmetric=True))
+        result = bdf4_march(problem, TransientConfig(tau=1.0 / 16.0, final_time=12.0 / 16.0))
+        assert len(solutions) == 9
+        assert solutions[-1]() is result.u_final
 
     def test_concurrent_marches_match_serial(self):
         """Each march keeps its state per call: two marches on two threads

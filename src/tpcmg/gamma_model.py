@@ -154,14 +154,23 @@ def gamma_coefficients(gamma, count):
 
 
 class GammaSystem:
-    """Assembled collocation system A_h = diag(D1, D2) - [M Q; P N]: cfg, op,
-    scale and eta, the one coefficient table boundary_vector reads."""
+    """Collocation system A_h = diag(D1, D2) - [M Q; P N], kept as its
+    tables: cfg, scale, ``tables`` (-m, -q, -p, -n, read-only), ``banded``
+    (the diagonal as a bandwidth-0 BandedCorrection) and eta, the one
+    coefficient table boundary_vector reads."""
 
-    def __init__(self, cfg, op, scale, eta):
+    def __init__(self, cfg, tables, banded, scale, eta):
         self.cfg = cfg
-        self.op = op
+        self.tables = tables
+        self.banded = banded
         self.scale = scale
         self.eta = eta
+
+    @property
+    def op(self):
+        """The stationary operator, assembled from the tables on each
+        access and not kept."""
+        return _tpc_from_tables(self.cfg.N - 1, *self.tables, self.banded)
 
     def boundary_vector(self, u_a, u_b):
         """Boundary contribution K(u_a, u_b) in forcing units, so that the
@@ -174,20 +183,21 @@ class GammaSystem:
 
 
 def assemble_gamma_system(cfg):
-    """Assemble the gamma-kernel system as TpcOperator + diagonal correction.
+    """Assemble the gamma-kernel system as its tables.
 
-    The Toeplitz-plus-Cross part holds -[M Q; P N], built from the tables
-    -m, -q, -p, -n by kernels._tpc_from_tables; the diagonal diag(D1, D2)
-    lives in a bandwidth-0 BandedCorrection because it is not constant
-    along diagonals for gamma > 0.
+    Its operator is the Toeplitz-plus-Cross part -[M Q; P N], built from
+    the tables -m, -q, -p, -n by kernels._tpc_from_tables, plus the
+    diagonal diag(D1, D2) in a bandwidth-0 BandedCorrection, because it is
+    not constant along diagonals for gamma > 0.
     """
     N = cfg.N
     co = gamma_coefficients(cfg.gamma, N)
-    diag = np.concatenate([co.d[1::2], co.d[0::2]])
-    banded = BandedCorrection(2 * N - 1, {0: diag})
-    op = _tpc_from_tables(N - 1, -co.m, -co.q, -co.p, -co.n, banded)
+    tables = (-co.m, -co.q, -co.p, -co.n)
+    for table in tables:
+        table.flags.writeable = False
+    banded = BandedCorrection(2 * N - 1, {0: np.concatenate([co.d[1::2], co.d[0::2]])})
     scale = (3.0 - cfg.gamma) * (2.0 - cfg.gamma) * (1.0 - cfg.gamma) / cfg.h ** (1.0 - cfg.gamma)
-    return GammaSystem(cfg, op, scale, co.eta)
+    return GammaSystem(cfg, tables, banded, scale, co.eta)
 
 
 def gamma_exact_forcing(x, t, gamma):

@@ -26,6 +26,9 @@ with x as entry m, and the banded product added if there is one.
 
 _tpc_from_tables is the one mapping of a block matrix [M Q; P N], given
 by distance tables, onto the cross layout; both models assemble through it.
+It also applies a scale and an identity shift, so the BDF4 step operator
+shift*I + scale*[M Q; P N] is built straight from the tables, with the
+shift entering at a_0, o and d_0.
 
 The operator classes here store only generating sequences (O(n) memory),
 each a read-only copy of what the constructor was given, and are
@@ -164,12 +167,11 @@ def _block_product(u0, u1, length, S0, S1):
     return z0, _irfft(U1, length)
 
 
-def _embedded_symbols(columns, length):
-    """(length, S0, S1) for _block_product: the rffts of the length-L
-    embedding columns of the blocks (K00, K11, K01, K10), one at a time."""
-    S = np.empty((2, 2, length // 2 + 1), dtype=complex)
-    for k, col in enumerate(columns):
-        S[k // 2, k % 2] = _rfft(col)
+def _embedded_symbols(columns):
+    """(L, S0, S1) for _block_product from the (4, L) array of the
+    embedding columns of the blocks (K00, K11, K01, K10): one batched rfft."""
+    length = columns.shape[1]
+    S = _rfft(columns).reshape(2, 2, length // 2 + 1)
     return length, S[0], S[1]
 
 
@@ -435,8 +437,12 @@ class TpcOperator:
         if self._symbols is None:
             specs = (self.A, self.Dbar, self.Bbar, self.Cbar)
             length = _embedding_length(self.m, max(spec.reach for spec in specs))
-            self._symbols = _embedded_symbols(
-                (_embedding_column(spec, length) for spec in specs), length)
+            # one column at a time: a (4, L) column stack would hold
+            # 2 MiB at once at L = 65536
+            S = np.empty((2, 2, length // 2 + 1), dtype=complex)
+            for k, spec in enumerate(specs):
+                S[k // 2, k % 2] = _rfft(_embedding_column(spec, length))
+            self._symbols = (length, S[0], S[1])
         return self._symbols
 
     def matvec(self, x):
@@ -515,9 +521,9 @@ class TpcOperator:
         return count
 
 
-def _tpc_from_tables(m, tM, tQ, tP, tN, banded=None):
-    """The TpcOperator of the (2m+1) x (2m+1) block matrix [M Q; P N]
-    (plus ``banded``) whose blocks are given by distance tables:
+def _tpc_from_tables(m, tM, tQ, tP, tN, banded=None, scale=1.0, shift=0.0):
+    """The TpcOperator of shift*I + scale*([M Q; P N] + banded), the
+    (2m+1) x (2m+1) block matrix whose blocks are given by distance tables:
 
         M[i, j] = tM[|i - j|]                       (m x m),
         N[i, j] = tN[|i - j|]                       ((m+1) x (m+1)),
@@ -531,19 +537,26 @@ def _tpc_from_tables(m, tM, tQ, tP, tN, banded=None):
     (b_l = tQ_l for l >= 0, tQ_{-l-1} for l < 0); q is P's first row and
     Cbar its other rows (c_l = tP_{-l} for l <= 0, tP_{l-1} for l >= 1);
     o = tN_0, zeta = xi = (tN_1, tN_2, ..), A is M and Dbar is N's trailing
-    m x m block.
+    m x m block.  The tables and the banded part are scaled, and the shift
+    is added to the scaled tM_0 and tN_0, which are a_0, and o and d_0:
+    the entries are those of TpcOperator.scale_shift(scale, shift), and
+    scale = 1, shift = 0 gives the unscaled operator bitwise.
     """
     def fit(table, size):
         out = np.zeros(size)
         table = np.asarray(table, dtype=float)[:size]
-        out[:table.size] = table
+        np.multiply(table, scale, out=out[:table.size])
         return out
 
     tM, tQ, tP, tN = fit(tM, m), fit(tQ, m), fit(tP, m), fit(tN, m + 1)
+    tM[0] += shift
+    tN[0] += shift
     # generating sequences over the offsets -(m-1) .. m-1
     A = ToeplitzSpec(m, np.concatenate([tM[1:][::-1], tM]))
     Bbar = ToeplitzSpec(m, np.concatenate([tQ[:m - 1][::-1], tQ]))
     Cbar = ToeplitzSpec(m, np.concatenate([tP[::-1], tP[:m - 1]]))
     Dbar = ToeplitzSpec(m, np.concatenate([tN[1:m][::-1], tN[:m]]))
     xi = tN[1:]
+    if banded is not None:
+        banded = banded.scaled(scale)
     return TpcOperator(A, Bbar, Cbar, Dbar, tQ, tP, xi, xi, tN[0], banded)

@@ -142,13 +142,19 @@ def pd_coefficients(r, symmetric):
 
 
 class PdSystem:
-    """Assembled system: cfg, op, its scale eta_h and the spectra of the
-    collar fold weights (see fold_boundary_rhs), not the tables."""
+    """Assembled system, kept as its tables: cfg, its scale eta_h,
+    ``tables`` (the O(r) tables a, a_half, c, d, read-only), ``banded``
+    (None: the operator has no banded part) and the spectra of the collar
+    fold weights (see fold_boundary_rhs)."""
 
-    def __init__(self, cfg, op, coeffs):
+    banded = None
+
+    def __init__(self, cfg, coeffs):
         self.cfg = cfg
-        self.op = op
         self.scale = cfg.eta
+        self.tables = (coeffs.a, coeffs.a_half, coeffs.c, coeffs.d)
+        for table in self.tables:
+            table.flags.writeable = False
         # the embedding columns of the fold's blocks (K00, K11, K01, K10):
         # the weights wA = (a_1 .. a_r, 0), wD = d_1 .. d_r,
         # wB = (a_{3/2} .. a_{r-1/2}, 0) and wC = c, over eta, zero-padded
@@ -158,17 +164,22 @@ class PdSystem:
         for col, w in zip(columns, (coeffs.a[1:], coeffs.d[1:], coeffs.a_half[1:], coeffs.c)):
             col[:w.size] = w
         columns /= self.scale
-        self._fold_spectra = _embedded_symbols(columns, length)
+        self._fold_spectra = _embedded_symbols(columns)
+
+    @property
+    def op(self):
+        """The stationary operator, assembled from the tables on each
+        access and not kept."""
+        return _tpc_from_tables(self.cfg.N - 1, *self.tables)
 
 
 def assemble_pd_system(cfg):
-    """The block system [A B; C D] as a TpcOperator: kernels._tpc_from_tables
-    of the v-row tables a, a_half and the w-row tables c, d.  The variants
-    differ only in their tables: the shifted-symmetric c and d mirror the
-    v rows, which makes C = B^T and gives D the distance table of A."""
-    co = pd_coefficients(cfg.r, cfg.symmetric)
-    op = _tpc_from_tables(cfg.N - 1, co.a, co.a_half, co.c, co.d)
-    return PdSystem(cfg, op, co)
+    """The block system [A B; C D], kept as the v-row tables a, a_half and
+    the w-row tables c, d; its operator is kernels._tpc_from_tables of
+    them.  The variants differ only in their tables: the shifted-symmetric
+    c and d mirror the v rows, which makes C = B^T and gives D the
+    distance table of A."""
+    return PdSystem(cfg, pd_coefficients(cfg.r, cfg.symmetric))
 
 
 def sample_collar(cfg, g):

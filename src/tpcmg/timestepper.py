@@ -8,8 +8,11 @@ boundary contributions, so one BDF4 step solves
         = 4 U^{k-1} - 3 U^{k-2} + 4/3 U^{k-3} - 1/4 U^{k-4} + tau G(t_k).
 
 The step operator is time-independent; its hierarchy is built once per
-march.  The startup values U^0 ... U^3 come from the exact solution: the
-fourth-order tables are only reproducible with non-polluting startup.
+march.  It is assembled straight from the system's distance tables, the
+identity shift entering through them at a_0, o and d_0, so no stationary
+operator is built or held during a march.  The startup values U^0 ...
+U^3 come from the exact solution: the fourth-order tables are only
+reproducible with non-polluting startup.
 
 In the manufactured problems the forcing (and, for peridynamics, the
 collar data) is e^t times a t-free array.  Each problem evaluates that
@@ -28,7 +31,7 @@ import numpy as np
 
 from .gamma_model import assemble_gamma_system, gamma_exact_forcing
 from .hierarchy import build_hierarchy
-from .kernels import _check_real
+from .kernels import _check_real, _tpc_from_tables
 from .peridynamic import (assemble_pd_system, fold_boundary_rhs,
                           pd_exact_forcing, sample_collar)
 from .solver import SmootherConfig, solve
@@ -98,13 +101,16 @@ class MarchResult:
 def build_step_operator(system, tau):
     """Implicit BDF4 step operator 25/12 I + (tau/eta) * A_stationary.
 
-    The identity shift folds into the diagonal coefficients a_0, o, d_0 of
-    the cross representation.
+    Built straight from the system's distance tables by
+    kernels._tpc_from_tables, which scales them and adds the identity
+    shift at the diagonal coefficients a_0, o, d_0 of the cross
+    representation; the stationary operator is never assembled.
     """
     _check_real("tau", tau)
     if not (np.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
-    return system.op.scale_shift(tau / system.scale, 25.0 / 12.0)
+    return _tpc_from_tables(system.cfg.N - 1, *system.tables, system.banded,
+                            scale=tau / system.scale, shift=25.0 / 12.0)
 
 
 def bdf4_march(problem, cfg, smoother=None, tol=1e-15, max_iter=200, coarsest=7):

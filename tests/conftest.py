@@ -49,6 +49,24 @@ def transpose_tpc(op):
                        op.Dbar.transpose(), op.q, op.p, op.zeta, op.xi, op.o)
 
 
+def assert_same_bytes(op, ref):
+    """op and ref store the same operator, compared as raw bytes (0.0 and
+    -0.0 differ): every window's offset and data, the cross lines and
+    whether they are one array, o, ``symmetric`` and every band."""
+    for name in ("A", "Bbar", "Cbar", "Dbar"):
+        spec, expected = getattr(op, name), getattr(ref, name)
+        assert (spec.lo, spec.data.tobytes()) == (expected.lo, expected.data.tobytes()), name
+    assert op.col.tobytes() == ref.col.tobytes()
+    assert op.row.tobytes() == ref.row.tobytes()
+    assert (op.row is op.col) == (ref.row is ref.col)
+    assert np.float64(op.o).tobytes() == np.float64(ref.o).tobytes()
+    assert op.symmetric == ref.symmetric
+    bands = {} if op.banded is None else op.banded.bands
+    expected = {} if ref.banded is None else ref.banded.bands
+    assert {l: b.tobytes() for l, b in bands.items()} == \
+        {l: b.tobytes() for l, b in expected.items()}
+
+
 def break_mirror(op, piece):
     """A copy of op whose mirror pair through ``piece`` is broken: Cbar one
     ulp off Bbar^T at offset 0, A or Dbar one ulp off palindromic at offset

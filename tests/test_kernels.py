@@ -15,8 +15,8 @@ from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
                    coarsen_banded, coarsen_tpc, toeplitz_matvec)
 from tpcmg import kernels
 
-from conftest import (break_mirror, dense_toeplitz, identity_spec, identity_tpc,
-                      random_tpc, tpc_pieces, zero_spec)
+from conftest import (assert_same_bytes, break_mirror, dense_toeplitz, identity_spec,
+                      identity_tpc, random_tpc, tpc_pieces, zero_spec)
 
 
 class TestToeplitz:
@@ -331,6 +331,11 @@ class TestTablesBuilder:
                 expected += np.diag(diag.bands[0])
             op = kernels._tpc_from_tables(m, tM, tQ, tP, tN, diag)
             assert np.array_equal(op.dense(), expected)
+            # scaled and shifted: bitwise the operator's scale_shift
+            scale, shift = np.random.default_rng(k).uniform(0.0, 2.0, size=2)
+            assert_same_bytes(
+                kernels._tpc_from_tables(m, tM, tQ, tP, tN, diag, scale, shift),
+                op.scale_shift(scale, shift))
 
 
 def _windowed_spec(rng, m, short, sym=False):

@@ -4,13 +4,17 @@ import weakref
 import numpy as np
 import pytest
 
-from tpcmg import (GammaModelConfig, PdModelConfig, TransientConfig,
-                   TransientProblem, assemble_gamma_system, assemble_pd_system,
-                   bdf4_march, build_step_operator, fold_boundary_rhs,
+from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
+                   TpcOperator, TransientConfig, TransientProblem,
+                   assemble_gamma_system, assemble_pd_system, bdf4_march,
+                   build_step_operator, fold_boundary_rhs, gamma_coefficients,
                    gamma_exact_forcing, gamma_manufactured_problem,
-                   pd_exact_forcing, pd_manufactured_problem, sample_collar,
-                   timestepper)
+                   pd_coefficients, pd_exact_forcing, pd_manufactured_problem,
+                   sample_collar, timestepper)
+from tpcmg.kernels import _tpc_from_tables
 from tpcmg.oracle import gamma_dense_reference, sym_eig_extremes
+
+from conftest import assert_same_bytes
 
 
 class TestStepOperator:
@@ -33,6 +37,41 @@ class TestStepOperator:
         ref_A, scale = gamma_dense_reference(cfg)
         ref = (25.0 / 12.0) * np.eye(15) + (1.0 / 8.0 / scale) * ref_A
         assert np.abs(op.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _gamma_case(gamma, N):
+    """The system, and its operator as assembled from gamma_coefficients."""
+    co = gamma_coefficients(gamma, N)
+    banded = BandedCorrection(2 * N - 1, {0: np.concatenate([co.d[1::2], co.d[0::2]])})
+    op = _tpc_from_tables(N - 1, -co.m, -co.q, -co.p, -co.n, banded)
+    return assemble_gamma_system(GammaModelConfig(N=N, gamma=gamma)), op
+
+
+def _pd_case(symmetric, delta, N):
+    cfg = PdModelConfig(N=N, delta=delta, symmetric=symmetric)
+    co = pd_coefficients(cfg.r, symmetric)
+    return assemble_pd_system(cfg), _tpc_from_tables(N - 1, co.a, co.a_half, co.c, co.d)
+
+
+STEP_CASES = (
+    [pytest.param(_gamma_case, (gamma, N), id=f"gamma-{gamma}-N{N}")
+     for gamma in (0.0, 0.3, 0.5, 0.9) for N in (4, 8, 32, 256)]
+    + [pytest.param(_pd_case, (symmetric, delta, N),
+                    id=f"pd-{'sym' if symmetric else 'nonsym'}-{delta}-N{N}")
+       for symmetric in (True, False) for delta in (0.25, 0.5, "sqrt-h")
+       for N in (4, 16, 64, 512)])
+
+
+@pytest.mark.parametrize("case, args", STEP_CASES)
+def test_step_operator_from_tables_is_scale_shift(case, args):
+    """The step operator built from the tables is bitwise the stationary
+    operator's scale_shift, and the stationary operator bitwise the
+    assembly from the coefficient tables, at tau = h and tau = 0."""
+    system, stationary = case(*args)
+    assert_same_bytes(system.op, stationary)
+    for tau in (system.cfg.h, 0.0):
+        assert_same_bytes(build_step_operator(system, tau),
+                          stationary.scale_shift(tau / system.scale, 25.0 / 12.0))
 
 
 TIMES = (0.0, 0.125, 0.37, 1.0, 2.5)
@@ -127,6 +166,40 @@ class TestMarch:
         result = bdf4_march(problem, TransientConfig(tau=1.0 / 16.0, final_time=12.0 / 16.0))
         assert len(solutions) == 9
         assert solutions[-1]() is result.u_final
+
+    @pytest.mark.parametrize("make_problem", [
+        lambda: gamma_manufactured_problem(GammaModelConfig(N=16, gamma=0.5)),
+        lambda: pd_manufactured_problem(PdModelConfig(N=16, delta=0.25, symmetric=True)),
+    ], ids=["gamma", "pd-sym"])
+    def test_no_stationary_operator_held(self, monkeypatch, make_problem):
+        """From the problem's construction on, every TpcOperator still alive
+        after the first solve is a level of the march's hierarchy: no
+        stationary operator is built and held."""
+        built = []
+        init = TpcOperator.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        solve = timestepper.solve
+        checked = []
+
+        def checked_solve(hier, b, *args, **kwargs):
+            out = solve(hier, b, *args, **kwargs)
+            if not checked:
+                live = [ref() for ref in built if ref() is not None]
+                checked.append(len(live))
+                strays = [op.n for op in live
+                          if not any(op is level for level in hier.levels)]
+                assert not strays, f"operators of size {strays} alive beside the levels"
+            return out
+
+        monkeypatch.setattr(TpcOperator, "__init__", tracked_init)
+        monkeypatch.setattr(timestepper, "solve", checked_solve)
+        problem = make_problem()
+        bdf4_march(problem, TransientConfig(tau=1.0 / 16.0, final_time=6.0 / 16.0))
+        assert checked and checked[0] >= 2      # the levels themselves are seen
 
     def test_concurrent_marches_match_serial(self):
         """Each march keeps its state per call: two marches on two threads

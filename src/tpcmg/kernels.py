@@ -4,25 +4,33 @@ Square-Toeplitz and Toeplitz-plus-Cross matrix-vector products in
 O(n log n) via circulant embedding.  The circulant of an m x m block
 whose stored offsets reach |l| <= r has length next_fast_len(m + r): a
 dense window gets the usual 2m - 1, a banded one (the peridynamic
-levels, r about m/4) a shorter transform.  _block_product is the one
-2x2 block-of-Toeplitz product, which TpcOperator.matvec and the
-peridynamic boundary fold share: one batched rfft of two zero-padded
-rows, a contraction with the blocks' embedded symbols and one batched
-irfft (row by row above an embedding length of 32768).
+levels, r about m/4) a shorter transform.  A 2x2 block-of-Toeplitz
+product is one batched rfft of two zero-padded rows, a contraction with
+the blocks' embedded symbols and one batched irfft (row by row above an
+embedding length of 32768).  _block_product takes these steps in fresh
+arrays, for TpcOperator.matvec and the peridynamic boundary fold;
+_tpc_product takes the same steps through the views of a transform
+workspace when it is given one.
 
 Every transform calls pocketfft's ``r2c``/``c2r`` directly, the entry
 points under ``scipy.fft.rfft``/``irfft``, with the arguments ``scipy.fft``
-passes them: on the small levels that skips a dispatch layer that costs
-more than the transforms.  The pair is checked bitwise against
-``scipy.fft`` at import, which is the fallback if the entry points are
-missing or disagree.  The direct calls run on one thread, out of reach of
+passes them and an ``out`` array: on the small levels that skips a
+dispatch layer that costs more than the transforms.  The pair is checked
+bitwise against ``scipy.fft`` at import, which is the fallback (its
+results copied into ``out``) if the entry points are missing or disagree.
+The direct calls run on one thread, out of reach of
 ``scipy.fft.set_backend``/``set_workers``.
 
 A Toeplitz-plus-Cross operator stores its cross as two length-n lines,
 the column [p, o, xi] and the row [q, o, zeta] (one array when they are
-equal), so every product is assembled the same way: x[m] times the column,
-the block product's two rows added into its slices, the row's dot product
-with x as entry m, and the banded product added if there is one.
+equal), so every product is assembled the same way, by _tpc_product:
+x[m] times the column, the block product's two rows added into its
+slices, the row's dot product with x as entry m, and the banded product
+added if there is one.  TpcOperator.matvec runs it on _block_product's
+fresh arrays.  _level_products gives a caller, such as one solve,
+products for a list of levels that share one workspace, sized to the
+longest level it serves and with each level's views taken once; the
+workspace belongs to that caller alone.
 
 _tpc_from_tables is the one mapping of a block matrix [M Q; P N], given
 by distance tables, onto the cross layout; both models assemble through it.
@@ -33,12 +41,13 @@ shift entering at a_0, o and d_0.
 The operator classes here store only generating sequences (O(n) memory),
 each a read-only copy of what the constructor was given, and are
 immutable after construction apart from lazily filled symbol caches, so
-they can be shared freely across threads; transform scratch space is
-allocated per call.
+they can be shared freely across threads; no transform workspace is kept
+on an operator or in the module.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -53,26 +62,40 @@ __all__ = [
 
 
 def _transform_pair():
-    """(rfft, irfft) over the last axis, with the signatures rfft(x) and
-    irfft(X, n) of ``scipy.fft``: pocketfft's r2c/c2r called directly with
-    the arguments ``scipy.fft`` passes them (forward unnormalised, inverse
-    divided by n, one thread) if they pass _agrees_with_scipy, else
-    ``scipy.fft.rfft``/``irfft`` themselves."""
+    """(rfft, irfft) over the last axis, with the signatures rfft(x, out=None)
+    and irfft(X, n, out=None), the result written into ``out`` if one is
+    given: pocketfft's r2c/c2r called directly with the arguments
+    ``scipy.fft`` passes them (forward unnormalised, inverse divided by n,
+    one thread) if they pass _agrees_with_scipy, else ``scipy.fft.rfft`` and
+    ``irfft`` themselves, which take no ``out``, with their results copied
+    into it."""
     try:
         from scipy.fft._pocketfft import pypocketfft
         r2c, c2r = pypocketfft.r2c, pypocketfft.c2r
 
-        def rfft(x):
-            return r2c(x, (-1,), True, 0, None, 1)
+        def rfft(x, out=None):
+            return r2c(x, (-1,), True, 0, out, 1)
 
-        def irfft(X, n):
-            return c2r(X, (-1,), n, False, 2, None, 1)
+        def irfft(X, n, out=None):
+            return c2r(X, (-1,), n, False, 2, out, 1)
 
         if _agrees_with_scipy(rfft, irfft):
             return rfft, irfft
     except (ImportError, AttributeError, TypeError, ValueError):
         pass                # a missing entry point, or a changed signature
-    return _fft.rfft, _fft.irfft
+    return _writing_into(_fft.rfft), _writing_into(_fft.irfft)
+
+
+def _writing_into(transform):
+    """transform with an ``out`` argument that receives a copy of its result."""
+    @functools.wraps(transform)
+    def into(*args, out=None):
+        result = transform(*args)
+        if out is None:
+            return result
+        out[...] = result
+        return out
+    return into
 
 
 def _agrees_with_scipy(rfft, irfft):
@@ -135,7 +158,8 @@ def _block_product(u0, u1, length, S0, S1):
     The 1-D rows u0, u1 are zero-padded to L here; each result is the
     whole length-L circulant product, the Toeplitz one in its first
     u0.size entries.  One batched rfft, the contraction and one batched
-    irfft; above _BATCH_MAX_LENGTH the same products row by row."""
+    irfft, in fresh arrays; above _BATCH_MAX_LENGTH the same products row
+    by row.  _tpc_product runs the same steps through a workspace."""
     k = u0.size
     # free each spectrum before the next allocation: that bounds the
     # transient memory to about two (2, L) buffers
@@ -446,23 +470,11 @@ class TpcOperator:
         return self._symbols
 
     def matvec(self, x):
-        """Product with a length-n array: the four Toeplitz blocks as one
-        _block_product of the rows v, wbar, added into x[m] times the cross
-        column, with the cross row's dot product as entry m, plus the
-        banded product if there is one."""
+        """Product with a length-n array, by _tpc_product in fresh arrays."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"x must have length {self.n}, got {x.shape}")
-        m = self.m
-        z0, z1 = _block_product(x[:m], x[m + 1:], *self._block_symbols())
-        y = self.col * x[m]
-        y[:m] += z0[:m]
-        y[m + 1:] += z1[:m]
-        # ndarray.dot: the same BLAS dot as @, at half the call overhead
-        y[m] = self.row.dot(x)
-        if self.banded is not None:
-            y += self.banded.matvec(x)
-        return y
+        return _tpc_product(self, *self._block_symbols(), None, x)
 
     def dense(self):
         """Dense n x n matrix, expanded entry by entry from the blocks, the
@@ -495,19 +507,6 @@ class TpcOperator:
             d += self.banded.bands.get(0, 0.0)
         return d
 
-    def scale_shift(self, scale, shift):
-        """Return shift*I + scale*self; the identity goes into a_0, o, d_0."""
-        def shifted(spec):
-            full = spec.coeffs * scale
-            full[spec.m - 1] += shift
-            return ToeplitzSpec(spec.m, full)
-
-        return TpcOperator(
-            shifted(self.A), self.Bbar.scaled(scale), self.Cbar.scaled(scale),
-            shifted(self.Dbar), self.p * scale, self.q * scale,
-            self.xi * scale, self.zeta * scale, scale * self.o + shift,
-            banded=None if self.banded is None else self.banded.scaled(scale))
-
     @property
     def stored_count(self):
         """Coefficients a minimal representation keeps: for symmetric
@@ -519,6 +518,86 @@ class TpcOperator:
         if self.banded is not None:
             count += self.banded.stored_count
         return count
+
+
+def _tpc_product(op, length, S0, S1, views, x):
+    """op x, the one Toeplitz-plus-Cross product: the four blocks as one
+    block product of the rows v, wbar, added into x[m] times the cross
+    column, with the cross row's dot product as entry m, plus the banded
+    product if there is one.  The arguments before x are op's plan: its
+    _block_symbols and either None, for _block_product's fresh arrays, or
+    the _level_views of a workspace, which the same steps write through."""
+    m = op.m
+    if views is None:
+        z0, z1 = _block_product(x[:m], x[m + 1:], length, S0, S1)
+        z0, z1 = z0[:m], z1[:m]
+    else:
+        X, F, off, swapped, pad, z0, z1 = views
+        pad.fill(0.0)
+        z0[...] = x[:m]
+        z1[...] = x[m + 1:]
+        _rfft(X, out=F)
+        np.multiply(swapped, S1, out=off)   # (K01 u1, K10 u0)
+        F *= S0                             # (K00 u0, K11 u1)
+        F += off
+        _irfft(F, length, out=X)            # the product rows land in z0, z1
+    y = op.col * x[m]
+    y[:m] += z0
+    y[m + 1:] += z1
+    # ndarray.dot: the same BLAS dot as @, at half the call overhead
+    y[m] = op.row.dot(x)
+    if op.banded is not None:
+        y += op.banded.matvec(x)
+    return y
+
+
+def _level_views(workspace, length, m):
+    """The views of a workspace (spectra, scratch), two flat complex arrays
+    of at least 2 (L//2 + 1) entries, that _tpc_product writes through for
+    a level of half-size m and embedding length L: the real (2, L) rows X,
+    their (2, L//2 + 1) spectra F, the contraction temporary off, F with
+    its rows swapped, and X's zero padding X[:, m:] and rows X[0, :m],
+    X[1, :m].  X and off share the scratch array: off is used only
+    between the forward transform, which last reads X, and the inverse,
+    which writes it."""
+    spectra, scratch = workspace
+    half = length // 2 + 1
+    F = spectra[:2 * half].reshape(2, half)
+    X = scratch.view(float)[:2 * length].reshape(2, length)
+    return (X, F, scratch[:2 * half].reshape(2, half), F[::-1],
+            X[:, m:], X[0, :m], X[1, :m])
+
+
+# The largest embedding length a _level_products workspace serves.  The
+# workspace is held for a whole solve, on top of the transient arrays of
+# the levels it does not serve.  At 4096 it serves every pd-sym N = 512
+# level (L <= 640) and gamma's levels up to n = 4095, and the tracemalloc
+# peak of a gamma N = 2^15 march (set-up and 16 steps) went 23.42 ->
+# 23.56 MB; serving up to 16384 read 23.95 MB and up to 32768 24.48 MB.
+_WORKSPACE_MAX_LENGTH = 4096
+
+
+def _level_products(ops):
+    """One product x -> op x per operator in ops, bitwise op.matvec(x)
+    without its checks.  The operators whose embedding length is at most
+    _WORKSPACE_MAX_LENGTH share one transform workspace, sized to the
+    longest of them and held only by the returned products: each product
+    writes it through and is done with it before the next starts, so one
+    caller's products must run one at a time, and two threads need two
+    sets.  The other operators' products are their own matvec."""
+    plans = [(op, op._block_symbols()) for op in ops]
+    served = [symbols[0] for _, symbols in plans
+              if symbols[0] <= _WORKSPACE_MAX_LENGTH]
+    size = 2 * (max(served, default=0) // 2 + 1)
+    workspace = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    products = []
+    for op, (length, S0, S1) in plans:
+        if length > _WORKSPACE_MAX_LENGTH:
+            products.append(op.matvec)
+        else:
+            views = _level_views(workspace, length, op.m)
+            products.append(functools.partial(_tpc_product, op, length, S0, S1, views))
+    return products
 
 
 def _tpc_from_tables(m, tM, tQ, tP, tN, banded=None, scale=1.0, shift=0.0):
@@ -539,7 +618,6 @@ def _tpc_from_tables(m, tM, tQ, tP, tN, banded=None, scale=1.0, shift=0.0):
     o = tN_0, zeta = xi = (tN_1, tN_2, ..), A is M and Dbar is N's trailing
     m x m block.  The tables and the banded part are scaled, and the shift
     is added to the scaled tM_0 and tN_0, which are a_0, and o and d_0:
-    the entries are those of TpcOperator.scale_shift(scale, shift), and
     scale = 1, shift = 0 gives the unscaled operator bitwise.
     """
     def fit(table, size):

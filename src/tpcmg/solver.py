@@ -8,10 +8,15 @@ coarsest with n <= 63 down) is applied as one dense matrix, built on first
 use from that same recursion and cached on the hierarchy per smoother,
 together with each level's smoother diagonals omega_pre D^{-1} and
 omega_post D^{-1}, scaled once so a sweep multiplies by one array.  The
-sweeps and residuals work in place on the cycle's own iterate and on each
-fresh matvec output, never on the right-hand side.  The outer iteration
-applies cycles to the residual until the Euclidean relative residual drops
-below the tolerance, or reports why it stopped short.
+cycle's products come from kernels._level_products: each solve, each
+vcycle call and each tail build takes one set, whose small levels share
+one transform workspace that lives only as long as that call, so a
+hierarchy can serve concurrent calls.  The sweeps and residuals work in
+place on the cycle's own iterate and on each fresh product, never on the
+right-hand side.  The outer iteration applies cycles to the residual,
+whose stop-test product is the public TpcOperator.matvec, until the
+Euclidean relative residual drops below the tolerance, or reports why it
+stopped short.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .hierarchy import prolong, restrict
-from .kernels import _check_integer, _check_real
+from .kernels import _check_integer, _check_real, _level_products
 
 __all__ = [
     "SmootherConfig",
@@ -142,49 +147,58 @@ def _cycle_cache(hier, cfg):
         small = [k for k, op in enumerate(above) if op.n <= _TAIL_SIZE]
         if small:
             k, n = small[0], above[small[0]].n
+            products = _products(hier, cache, k)
             tail, e = np.empty((n, n)), np.zeros(n)
             for j in range(n):      # column by column: no n x n identity
                 e[j] = 1.0
-                tail[:, j] = _cycle(hier, k, e, cfg, cache)
+                tail[:, j] = _cycle(hier, k, e, cfg, cache, products)
                 e[j] = 0.0
             cache.tail_level, cache.tail = k, tail
         hier.cycle_cache[cfg] = cache
     return cache
 
 
-def _cycle(hier, k, b, cfg, cache):
+def _products(hier, cache, start=0):
+    """The products x -> op x that cycles from level start use, indexed by
+    level (None above start): one kernels._level_products set, whose
+    transform workspace belongs to the calling solve, vcycle or tail
+    build alone."""
+    stop = hier.depth - 1 if cache.tail_level is None else cache.tail_level
+    return [None] * start + _level_products(hier.levels[start:stop])
+
+
+def _cycle(hier, k, b, cfg, cache, products):
     if k == cache.tail_level:
         return cache.tail @ b
-    levels = hier.levels
-    if k == len(levels) - 1:
+    if k == hier.depth - 1:
         # unchecked: a NaN here propagates to the solve's non_finite status
         return sla.lu_solve(hier.coarsest_lu, b, check_finite=False)
-    op = levels[k]
+    product = products[k]
     pre, post = cache.diagonals[k]
-    # first pre-sweep from the zero guess needs no matvec
+    # first pre-sweep from the zero guess needs no product
     x = pre * b if cfg.m1 > 0 else np.zeros_like(b)
     for _ in range(cfg.m1 - 1):
-        _smooth(op, x, b, pre)
-    e = _cycle(hier, k + 1, restrict(_residual(op, x, b)), cfg, cache)
+        _smooth(product, x, b, pre)
+    e = _cycle(hier, k + 1, restrict(_residual(product, x, b)), cfg, cache, products)
     x += prolong(e)
     for _ in range(cfg.m2):
-        _smooth(op, x, b, post)
+        _smooth(product, x, b, post)
     return x
 
 
-def _residual(op, x, b):
-    """b - op x, computed in the fresh matvec output; b is not written."""
-    r = op.matvec(x)
+def _residual(product, x, b):
+    """b - product(x), computed in the fresh product; b is not written."""
+    r = product(x)
     np.subtract(b, r, out=r)
     return r
 
 
-def _smooth(op, x, b, wdinv):
+def _smooth(product, x, b, wdinv):
     """One damped-Jacobi sweep x += (omega D^{-1}) (b - op x), in place on
     x and on the residual buffer, with wdinv = omega D^{-1} from the cycle
     cache.  Whenever omega is a power of two this is bitwise the product
     scaled by D^{-1} and then by omega."""
-    r = _residual(op, x, b)
+    r = _residual(product, x, b)
     r *= wdinv
     x += r
 
@@ -203,7 +217,8 @@ def vcycle(hier, b, cfg=None):
     """One V(m1, m2) cycle for the finest system, zero initial guess."""
     cfg = cfg or SmootherConfig()
     b = _rhs_array(hier.finest.n, b)
-    return _cycle(hier, 0, b, cfg, _cycle_cache(hier, cfg))
+    cache = _cycle_cache(hier, cfg)
+    return _cycle(hier, 0, b, cfg, cache, _products(hier, cache))
 
 
 def _check_stopping(tol, max_iter):
@@ -240,11 +255,13 @@ def solve(hier, b, cfg=None, tol=1e-15, max_iter=200):
         return x, report
 
     cache = _cycle_cache(hier, cfg)
+    products = _products(hier, cache)
     r, rel = b, 1.0
     history = report.relative_residuals
     for it in range(1, max_iter + 1):
-        x += _cycle(hier, 0, r, cfg, cache)
-        r = _residual(op, x, b)
+        x += _cycle(hier, 0, r, cfg, cache, products)
+        # the stop test's residual by the public matvec
+        r = _residual(op.matvec, x, b)
         # sqrt(r.r): bitwise np.linalg.norm(r), without its dispatch
         rel = math.sqrt(r.dot(r)) / r0
         history.append(rel)

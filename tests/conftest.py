@@ -36,6 +36,22 @@ def identity_tpc(m):
                        np.zeros(m), np.zeros(m), 1.0)
 
 
+def scale_shift(op, scale, shift):
+    """shift*I + scale*op, built from op's pieces: the identity goes into
+    a_0, o and d_0.  The reference that kernels._tpc_from_tables(...,
+    scale, shift) must equal bitwise."""
+    def shifted(spec):
+        full = spec.coeffs * scale
+        full[spec.m - 1] += shift
+        return ToeplitzSpec(spec.m, full)
+
+    return TpcOperator(
+        shifted(op.A), op.Bbar.scaled(scale), op.Cbar.scaled(scale),
+        shifted(op.Dbar), op.p * scale, op.q * scale, op.xi * scale,
+        op.zeta * scale, scale * op.o + shift,
+        banded=None if op.banded is None else op.banded.scaled(scale))
+
+
 def tpc_pieces(op):
     """The constructor arguments of op, by name."""
     return dict(A=op.A, Bbar=op.Bbar, Cbar=op.Cbar, Dbar=op.Dbar, p=op.p,

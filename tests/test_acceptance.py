@@ -16,7 +16,7 @@ from tpcmg import (PdModelConfig, ToeplitzSpec, assemble_pd_system,
 from tpcmg.bench import run_scaling, run_table
 from tpcmg.oracle import certify_section4, dense_galerkin, two_grid_a_norm
 
-from conftest import dense_toeplitz, random_tpc
+from conftest import dense_toeplitz, random_tpc, scale_shift
 from test_hierarchy import EXAMPLE_COARSE_X8, example_fine_operator
 
 
@@ -103,7 +103,7 @@ def test_criterion_3_fft_equals_dense(rng):
         op = random_tpc(rng, m, symmetric=(trials % 2 == 0),
                         banded_bw=(1 if trials % 5 == 0 else None))
         scale = 1.0 / (1.0 + m)
-        op = op.scale_shift(scale, 0.0)
+        op = scale_shift(op, scale, 0.0)
         x = rng.uniform(-1, 1, op.n)
         worst = max(worst, float(np.abs(op.matvec(x) - op.dense() @ x).max()))
         trials += 1

@@ -12,7 +12,7 @@ from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
                    coarsen_banded, coarsen_tpc, prolong, restrict)
 from tpcmg.oracle import dense_galerkin, restriction_matrix, sym_eig_extremes
 
-from conftest import (identity_spec, identity_tpc, random_tpc, transpose_tpc,
+from conftest import (identity_spec, identity_tpc, random_tpc, scale_shift, transpose_tpc,
                       zero_spec)
 
 
@@ -331,7 +331,7 @@ class TestBuildHierarchy:
         assert hier.coefficient_storage() == expected
 
     def test_singular_coarsest_rejected(self):
-        zero = identity_tpc(7).scale_shift(0.0, 0.0)
+        zero = scale_shift(identity_tpc(7), 0.0, 0.0)
         with pytest.raises(ValueError, match=r"n = 7 is singular"):
             build_hierarchy(zero)
 

@@ -1,4 +1,5 @@
 import copy
+import functools
 import sys
 import time
 
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
                    ToeplitzSpec, TpcOperator, assemble_gamma_system,
                    assemble_pd_system, build_hierarchy, build_step_operator,
-                   coarsen_banded, coarsen_tpc, toeplitz_matvec)
-from tpcmg import kernels
+                   coarsen_banded, coarsen_tpc, solve, toeplitz_matvec, vcycle)
+from tpcmg import kernels, solver
 
 from conftest import (assert_same_bytes, break_mirror, dense_toeplitz, identity_spec,
-                      identity_tpc, random_tpc, tpc_pieces, zero_spec)
+                      identity_tpc, random_tpc, scale_shift, tpc_pieces, zero_spec)
 
 
 class TestToeplitz:
@@ -247,7 +248,7 @@ class TestTpcOperator:
 
     def test_scale_shift(self, rng):
         op = random_tpc(rng, 9, symmetric=True, banded_bw=0)
-        shifted = op.scale_shift(0.25, 2.0)
+        shifted = scale_shift(op, 0.25, 2.0)
         dense = op.dense()
         ref = 2.0 * np.eye(op.n) + 0.25 * dense
         assert np.abs(shifted.dense() - ref).max() < 1e-13
@@ -331,11 +332,11 @@ class TestTablesBuilder:
                 expected += np.diag(diag.bands[0])
             op = kernels._tpc_from_tables(m, tM, tQ, tP, tN, diag)
             assert np.array_equal(op.dense(), expected)
-            # scaled and shifted: bitwise the operator's scale_shift
+            # scaled and shifted: bitwise conftest's scale_shift of the operator
             scale, shift = np.random.default_rng(k).uniform(0.0, 2.0, size=2)
             assert_same_bytes(
                 kernels._tpc_from_tables(m, tM, tQ, tP, tN, diag, scale, shift),
-                op.scale_shift(scale, shift))
+                scale_shift(op, scale, shift))
 
 
 def _windowed_spec(rng, m, short, sym=False):
@@ -385,7 +386,7 @@ class TestFusedKernelRandomised:
         x = rng.standard_normal(op.n)
         _assert_matches_dense(op, x)
         # derived operators start from their own caches, not the parent's
-        _assert_matches_dense(op.scale_shift(0.3, 1.7), x)
+        _assert_matches_dense(scale_shift(op, 0.3, 1.7), x)
         other = random_tpc(rng, m, symmetric, banded_bw=1).banded
         for banded in (other, None):
             _assert_matches_dense(TpcOperator(**dict(tpc_pieces(op), banded=banded)), x)
@@ -408,6 +409,8 @@ PDSYM_LEVELS = _step_levels(
     assemble_pd_system(PdModelConfig(N=512, delta=0.25, symmetric=True)), 512)
 GAMMA_LEVELS = _step_levels(
     assemble_gamma_system(GammaModelConfig(N=2 ** 15, gamma=0.5)), 2 ** 15)
+PDNONSYM_LEVELS = _step_levels(
+    assemble_pd_system(PdModelConfig(N=512, delta="sqrt-h", symmetric=False)), 512)
 PDSYM_LENGTHS = tuple(kernels._embedding_length(op.m, _level_reach(op))
                       for op in PDSYM_LEVELS)
 GAMMA_LENGTHS = tuple(kernels._embedding_length(op.m, _level_reach(op))
@@ -476,6 +479,33 @@ class TestEmbeddingLength:
             assert spec.reach == reach and spec._embedded_symbol()[0] == m + reach
 
 
+class TestLevelProducts:
+    @pytest.mark.parametrize("levels", [PDSYM_LEVELS, PDNONSYM_LEVELS, GAMMA_LEVELS],
+                             ids=["pdsym-quarter-512", "pdnonsym-sqrth-512", "gamma-half-32k"])
+    def test_residuals_bitwise_matvec(self, rng, levels):
+        """Through the shared workspace, b - op x is bitwise b - op.matvec(x)
+        on every level above the coarsest, in any order of the levels (a
+        longer level's data left in the workspace must not leak), and the
+        workspace serves exactly the levels up to _WORKSPACE_MAX_LENGTH."""
+        ops = levels[:-1]
+        products = kernels._level_products(ops)
+        served = [isinstance(product, functools.partial) for product in products]
+        assert served == [op._block_symbols()[0] <= kernels._WORKSPACE_MAX_LENGTH
+                          for op in ops]
+        assert any(served)
+        order = list(range(len(ops)))
+        for k in order + order[::-1] + order:
+            op = ops[k]
+            x, b = rng.standard_normal((2, op.n))
+            assert solver._residual(products[k], x, b).tobytes() == \
+                (b - op.matvec(x)).tobytes(), op.n
+
+
+def _wrapped(pair):
+    """The scipy.fft functions under a fallback pair's ``out`` wrappers."""
+    return tuple(transform.__wrapped__ for transform in pair)
+
+
 class TestTransformPair:
     def test_direct_pair_bound(self):
         assert kernels._rfft is not scipy.fft.rfft
@@ -510,7 +540,7 @@ class TestTransformPair:
     def test_falls_back_when_probe_fails(self, rng, monkeypatch):
         monkeypatch.setattr(kernels, "_agrees_with_scipy", lambda rfft, irfft: False)
         pair = kernels._transform_pair()
-        assert pair == (scipy.fft.rfft, scipy.fft.irfft)
+        assert _wrapped(pair) == (scipy.fft.rfft, scipy.fft.irfft)
         monkeypatch.setattr(kernels, "_rfft", pair[0])
         monkeypatch.setattr(kernels, "_irfft", pair[1])
         for m in (1, 7, 63, 200):
@@ -521,11 +551,34 @@ class TestTransformPair:
         monkeypatch.setattr(kernels, "_BATCH_MAX_LENGTH", 0)    # row by row
         _assert_matches_dense(op, x)
 
+    @pytest.mark.parametrize("model", ["pd-sym", "gamma"])
+    def test_fallback_solve_bitwise(self, rng, monkeypatch, model):
+        """scipy.fft's rfft/irfft take no ``out``: through the fallback
+        pair's wrappers the workspace products, and so solve and vcycle,
+        give bitwise the direct pair's results."""
+        if model == "pd-sym":
+            system = assemble_pd_system(PdModelConfig(N=64, delta=0.25, symmetric=True))
+        else:
+            system = assemble_gamma_system(GammaModelConfig(N=64, gamma=0.5))
+        b = rng.standard_normal(2 * 64 - 1)
+
+        def run():
+            hier = build_hierarchy(build_step_operator(system, 1.0 / 64))
+            x, report = solve(hier, b)
+            return x.tobytes(), report.iterations, vcycle(hier, b).tobytes()
+
+        direct = run()
+        monkeypatch.setattr(kernels, "_agrees_with_scipy", lambda rfft, irfft: False)
+        pair = kernels._transform_pair()
+        monkeypatch.setattr(kernels, "_rfft", pair[0])
+        monkeypatch.setattr(kernels, "_irfft", pair[1])
+        assert run() == direct
+
     def test_falls_back_when_import_fails(self, monkeypatch):
         import scipy.fft._pocketfft as package
         monkeypatch.delattr(package, "pypocketfft")
         monkeypatch.setitem(sys.modules, "scipy.fft._pocketfft.pypocketfft", None)
-        assert kernels._transform_pair() == (scipy.fft.rfft, scipy.fft.irfft)
+        assert _wrapped(kernels._transform_pair()) == (scipy.fft.rfft, scipy.fft.irfft)
 
 
 @pytest.mark.slow

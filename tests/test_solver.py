@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,14 +13,14 @@ from tpcmg.oracle import (dense_galerkin, dense_vcycle, restriction_matrix,
 from tpcmg import kernels, solver
 from tpcmg.solver import SingularSmootherError
 
-from conftest import break_mirror, identity_tpc, random_tpc, tpc_pieces
+from conftest import break_mirror, identity_tpc, random_tpc, scale_shift, tpc_pieces
 
 
 def spd_hierarchy(N, r, tau=None):
     system = assemble_pd_system(PdModelConfig(N=N, delta=r / N, symmetric=True))
     op = system.op
     if tau is not None:
-        op = op.scale_shift(tau / system.scale, 25.0 / 12.0)
+        op = scale_shift(op, tau / system.scale, 25.0 / 12.0)
     return build_hierarchy(op), op
 
 
@@ -102,7 +105,7 @@ class TestVcycle:
 
     def test_nonsymmetric_matches_dense_recursive_cycle(self, rng):
         system = assemble_pd_system(PdModelConfig(N=64, delta=0.25, symmetric=False))
-        hier = build_hierarchy(system.op.scale_shift(1.0 / 64 / system.scale, 25.0 / 12.0))
+        hier = build_hierarchy(scale_shift(system.op, 1.0 / 64 / system.scale, 25.0 / 12.0))
         for cfg in SMOOTHERS:
             assert_matches_dense_cycle(hier, cfg, rng.standard_normal(hier.finest.n))
 
@@ -188,7 +191,7 @@ class TestSolve:
             solve(hier, rng.standard_normal(op.n), **kwargs)
 
     def test_zero_diagonal_raises_on_first_use(self):
-        hier = Hierarchy([identity_tpc(7).scale_shift(0.0, 0.0),
+        hier = Hierarchy([scale_shift(identity_tpc(7), 0.0, 0.0),
                           identity_tpc(3)])
         with pytest.raises(SingularSmootherError):
             solve(hier, np.ones(15))
@@ -258,11 +261,13 @@ class TestSolve:
         assert report.converged
         assert b.tobytes() == before
 
-    def test_products_and_transfers_go_through_traced_names(self, monkeypatch):
-        """marchbench/spans.py times the cycle by wrapping
+    def test_stop_test_and_transfers_go_through_traced_names(self, monkeypatch):
+        """marchbench/spans.py times the solve by wrapping
         TpcOperator.matvec, solver.restrict and solver.prolong where the
-        solver looks them up: every product and transfer of a solve, the
-        tail build included, must be a call through those names."""
+        solver looks them up: every transfer of a solve, the tail build
+        included, and the stop test's residual of every iteration must be
+        a call through those names.  The cycle's own products run through
+        the solve's transform workspace, not TpcOperator.matvec."""
         counts = dict.fromkeys(("matvec", "restrict", "prolong"), 0)
 
         def counted(name, owner):
@@ -280,9 +285,6 @@ class TestSolve:
         hier = build_hierarchy(build_step_operator(system, 1.0 / 64))
         b = np.ones(hier.finest.n)
         cfg = SmootherConfig()
-        # a level visit: m1 - 1 pre-sweeps (the first needs no product),
-        # the residual and m2 post-sweeps
-        per_visit = cfg.m1 + cfg.m2
         seen = []
         for _ in range(2):
             before = dict(counts)
@@ -293,9 +295,8 @@ class TestSolve:
         k, depth, its = cache.tail_level, hier.depth, report.iterations
         assert [op.n for op in hier.levels] == [127, 63, 31, 15, 7] and k == 1
         below = cache.tail.shape[0] * (depth - 1 - k)   # tail build visits
-        per_solve = {"matvec": its * (per_visit * k + 1),
-                     "restrict": its * k, "prolong": its * k}
-        build = {"matvec": per_visit * below, "restrict": below, "prolong": below}
+        per_solve = {"matvec": its, "restrict": its * k, "prolong": its * k}
+        build = {"matvec": 0, "restrict": below, "prolong": below}
         assert seen == [{key: build[key] + per_solve[key] for key in counts}, per_solve]
 
     def test_residual_history_positive_decreasing_overall(self, rng):
@@ -305,6 +306,58 @@ class TestSolve:
         rels = np.array(report.relative_residuals)
         assert np.all(rels > 0)
         assert rels[-1] <= 1e-15 or report.stalled
+
+
+def step_hierarchy(model, N):
+    """The hierarchy of the tau = h BDF4 step operator of a pd-sym
+    (delta = 1/4) or gamma = 0.5 system; the gamma one has a banded part."""
+    if model == "pd-sym":
+        system = assemble_pd_system(PdModelConfig(N=N, delta=0.25, symmetric=True))
+    else:
+        system = assemble_gamma_system(GammaModelConfig(N=N, gamma=0.5))
+    return build_hierarchy(build_step_operator(system, 1.0 / N))
+
+
+class TestConcurrency:
+    @pytest.mark.parametrize("model", ["pd-sym", "gamma"])
+    def test_concurrent_solves_on_one_hierarchy_match_serial(self, rng, model):
+        """Two threads that solve and cycle at once on one shared
+        hierarchy, its cycle cache filled while they run, give bitwise the
+        serial solutions and iteration counts: each call's transform
+        workspace is its own."""
+        serial_hier = step_hierarchy(model, 64)
+        if model == "gamma":
+            assert serial_hier.finest.banded is not None
+        bs = rng.standard_normal((2, serial_hier.finest.n))
+        serial = []
+        for b in bs:
+            x, report = solve(serial_hier, b)
+            serial.append((x.tobytes(), report.iterations,
+                           vcycle(serial_hier, b).tobytes()))
+        shared = step_hierarchy(model, 64)
+        results = [None, None]
+        start = threading.Barrier(2)
+
+        def run(i):
+            start.wait(timeout=60)
+            out = set()
+            for _ in range(20):
+                x, report = solve(shared, bs[i])
+                out.add((x.tobytes(), report.iterations, vcycle(shared, bs[i]).tobytes()))
+            results[i] = out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)       # switch often: the calls interleave
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [{serial[0]}, {serial[1]}]
 
 
 class TestTgmFactor:
@@ -346,7 +399,7 @@ class TestTgmFactor:
     def test_symmetric_data_accepted(self, rng):
         op = random_tpc(rng, 15, symmetric=True)
         # shifted past its Gershgorin radius: diagonally dominant, so SPD
-        op = op.scale_shift(1.0, np.abs(op.dense()).sum(axis=1).max())
+        op = scale_shift(op, 1.0, np.abs(op.dense()).sum(axis=1).max())
         assert 0.0 <= two_grid_a_norm(TpcOperator(**tpc_pieces(op)).dense()) < 1.0
 
     @pytest.mark.parametrize("piece", ["Cbar", "q", "banded"])
@@ -354,7 +407,7 @@ class TestTgmFactor:
         op = random_tpc(rng, 15, symmetric=True)
         shift = np.abs(op.dense()).sum(axis=1).max()
         with pytest.raises(ValueError, match="symmetric positive definite"):
-            two_grid_a_norm(break_mirror(op.scale_shift(1.0, shift), piece).dense())
+            two_grid_a_norm(break_mirror(scale_shift(op, 1.0, shift), piece).dense())
 
     def test_zero_horizon_step_operator_accepted(self):
         """tau = 0 scales the nonsymmetric pd operator away: 25/12 I, whose

@@ -14,7 +14,7 @@ from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
 from tpcmg.kernels import _tpc_from_tables
 from tpcmg.oracle import gamma_dense_reference, sym_eig_extremes
 
-from conftest import assert_same_bytes
+from conftest import assert_same_bytes, scale_shift
 
 
 class TestStepOperator:
@@ -64,14 +64,14 @@ STEP_CASES = (
 
 @pytest.mark.parametrize("case, args", STEP_CASES)
 def test_step_operator_from_tables_is_scale_shift(case, args):
-    """The step operator built from the tables is bitwise the stationary
-    operator's scale_shift, and the stationary operator bitwise the
+    """The step operator built from the tables is bitwise conftest's
+    scale_shift of the stationary operator, and that operator bitwise the
     assembly from the coefficient tables, at tau = h and tau = 0."""
     system, stationary = case(*args)
     assert_same_bytes(system.op, stationary)
     for tau in (system.cfg.h, 0.0):
         assert_same_bytes(build_step_operator(system, tau),
-                          stationary.scale_shift(tau / system.scale, 25.0 / 12.0))
+                          scale_shift(stationary, tau / system.scale, 25.0 / 12.0))
 
 
 TIMES = (0.0, 0.125, 0.37, 1.0, 2.5)

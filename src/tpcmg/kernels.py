@@ -7,10 +7,10 @@ dense window gets the usual 2m - 1, a banded one (the peridynamic
 levels, r about m/4) a shorter transform.  A 2x2 block-of-Toeplitz
 product is one batched rfft of two zero-padded rows, a contraction with
 the blocks' embedded symbols and one batched irfft (row by row above an
-embedding length of 32768).  _block_product takes these steps in fresh
-arrays, for TpcOperator.matvec and the peridynamic boundary fold;
-_tpc_product takes the same steps through the views of a transform
-workspace when it is given one.
+embedding length of 32768).  _circulant_product is the one function that
+takes these steps, through the views of a transform workspace: two
+complex arrays, sized to the longest embedding they serve, that belong to
+one caller at a time.
 
 Every transform calls pocketfft's ``r2c``/``c2r`` directly, the entry
 points under ``scipy.fft.rfft``/``irfft``, with the arguments ``scipy.fft``
@@ -26,11 +26,11 @@ the column [p, o, xi] and the row [q, o, zeta] (one array when they are
 equal), so every product is assembled the same way, by _tpc_product:
 x[m] times the column, the block product's two rows added into its
 slices, the row's dot product with x as entry m, and the banded product
-added if there is one.  TpcOperator.matvec runs it on _block_product's
-fresh arrays.  _level_products gives a caller, such as one solve,
-products for a list of levels that share one workspace, sized to the
-longest level it serves and with each level's views taken once; the
-workspace belongs to that caller alone.
+added if there is one.  TpcOperator.matvec runs it through a workspace
+allocated for that call.  _level_products gives a caller, such as one
+solve, products for a list of levels that share one workspace, sized to
+the longest level it serves and with each level's views taken once; the
+peridynamic boundary fold takes one workspace for both collar sides.
 
 _tpc_from_tables is the one mapping of a block matrix [M Q; P N], given
 by distance tables, onto the cross layout; both models assemble through it.
@@ -121,12 +121,14 @@ def _check_real(name, value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
-# Above this embedding length _block_product transforms its two rows one
-# at a time.  In a gamma N = 2^15 BDF4 march, batching the n = 65535 level's
-# (2, 65536) buffers (1 MiB) cost 5400-6400 minor page faults per step;
-# with that level row by row and n <= 32767 still batched (at most 512 KiB)
-# it cost under 50.  Below the cutover batching saves two transform calls
-# per matvec, which the small levels need.
+# Above this embedding length _circulant_product transforms its two rows
+# one at a time.  In gamma N = 2^15 BDF4 marches (32 steps, two marches per
+# fresh process, on a 2-core x86-64 host), batching the n = 65535 level too
+# cost 9700-10100 minor page faults per step in the first march and
+# 3550-6020 in the second, for 0.98-0.99 s and 0.78-0.86 s of solve time;
+# row by row it cost 5850 and 55-1020 faults per step, for 0.88-0.94 s and
+# 0.67-0.75 s.  Below the cutover batching saves two transform calls per
+# product, which the small levels need.
 _BATCH_MAX_LENGTH = 32768
 
 
@@ -151,48 +153,38 @@ def _embedding_column(spec, length):
     return col
 
 
-def _block_product(u0, u1, length, S0, S1):
-    """(K00 u0 + K01 u1, K10 u0 + K11 u1) for Toeplitz blocks K whose
+def _circulant_product(views, length, S0, S1, u0, u1):
+    """Write (K00 u0 + K01 u1, K10 u0 + K11 u1) into the rows X of a
+    workspace's views (see _workspace_views) for Toeplitz blocks K whose
     length-L embedded symbols are S0 = (K00, K11) and S1 = (K01, K10).
 
-    The 1-D rows u0, u1 are zero-padded to L here; each result is the
-    whole length-L circulant product, the Toeplitz one in its first
+    u0 and u1 are loaded into the rows, zero-padded to L; each row becomes
+    the whole length-L circulant product, the Toeplitz one in its first
     u0.size entries.  One batched rfft, the contraction and one batched
-    irfft, in fresh arrays; above _BATCH_MAX_LENGTH the same products row
-    by row.  _tpc_product runs the same steps through a workspace."""
-    k = u0.size
-    # free each spectrum before the next allocation: that bounds the
-    # transient memory to about two (2, L) buffers
-    if length <= _BATCH_MAX_LENGTH:
-        X = np.zeros((2, length))
-        X[0, :k] = u0
-        X[1, :k] = u1
-        X = _rfft(X)
-        off = X[::-1] * S1              # (K01 u1, K10 u0)
-        X *= S0                         # (K00 u0, K11 u1)
-        X += off
-        del off
-        Z = _irfft(X, length)
-        return Z[0], Z[1]
-    row = np.zeros(length)
-    row[:k] = u0
-    U0 = _rfft(row)
-    row[:k] = u1
-    U1 = _rfft(row)
-    del row
-    Y = U0 * S0[0]                      # K00 u0
-    Y += U1 * S1[0]                     # + K01 u1
-    U1 *= S0[1]                         # K11 u1
-    U0 *= S1[1]                         # K10 u0
-    U1 += U0
-    del U0
-    z0 = _irfft(Y, length)
-    del Y
-    return z0, _irfft(U1, length)
+    irfft, written through the views; above _BATCH_MAX_LENGTH the two rows
+    are transformed one at a time."""
+    X, F, off, swapped, pad, z0, z1 = views
+    pad.fill(0.0)
+    z0[...] = u0
+    z1[...] = u1
+    batched = length <= _BATCH_MAX_LENGTH
+    if batched:
+        _rfft(X, out=F)
+    else:
+        for row, spectrum in zip(X, F):
+            _rfft(row, out=spectrum)
+    np.multiply(swapped, S1, out=off)   # (K01 u1, K10 u0)
+    F *= S0                             # (K00 u0, K11 u1)
+    F += off
+    if batched:
+        _irfft(F, length, out=X)
+    else:
+        for spectrum, row in zip(F, X):
+            _irfft(spectrum, length, out=row)
 
 
 def _embedded_symbols(columns):
-    """(L, S0, S1) for _block_product from the (4, L) array of the
+    """(L, S0, S1) for _circulant_product from the (4, L) array of the
     embedding columns of the blocks (K00, K11, K01, K10): one batched rfft."""
     length = columns.shape[1]
     S = _rfft(columns).reshape(2, 2, length // 2 + 1)
@@ -274,12 +266,6 @@ class ToeplitzSpec:
     def transpose(self):
         """The transpose: the window reversed, its offsets mirrored."""
         return ToeplitzSpec._from_window(self.m, -self.hi, self.data[::-1])
-
-    def scaled(self, s):
-        """s times this matrix (s finite): the window scaled, and its ends
-        trimmed again where the product is zero (s = 0 leaves the zero
-        matrix's one-entry window)."""
-        return ToeplitzSpec._from_window(self.m, self.lo, self.data * s)
 
     def _embedded_symbol(self):
         """rfft of the first column of the embedding circulant (cached)."""
@@ -455,7 +441,7 @@ class TpcOperator:
                 and (self.banded is None or self.banded.is_symmetric()))
 
     def _block_symbols(self):
-        """The _block_product symbols (L, S0, S1) of the blocks
+        """The _circulant_product symbols (L, S0, S1) of the blocks
         [[A, Bbar], [Cbar, Dbar]], L fit to their largest reach; computed on
         the first matvec and cached."""
         if self._symbols is None:
@@ -470,11 +456,15 @@ class TpcOperator:
         return self._symbols
 
     def matvec(self, x):
-        """Product with a length-n array, by _tpc_product in fresh arrays."""
+        """Product with a length-n array, by _tpc_product through a transform
+        workspace allocated for this call alone: the operator holds none,
+        so concurrent callers can share it."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"x must have length {self.n}, got {x.shape}")
-        return _tpc_product(self, *self._block_symbols(), None, x)
+        length, S0, S1 = self._block_symbols()
+        return _tpc_product(self, length, S0, S1,
+                            _workspace_views(_workspace(length), length, self.m), x)
 
     def dense(self):
         """Dense n x n matrix, expanded entry by entry from the blocks, the
@@ -522,28 +512,22 @@ class TpcOperator:
 
 def _tpc_product(op, length, S0, S1, views, x):
     """op x, the one Toeplitz-plus-Cross product: the four blocks as one
-    block product of the rows v, wbar, added into x[m] times the cross
-    column, with the cross row's dot product as entry m, plus the banded
-    product if there is one.  The arguments before x are op's plan: its
-    _block_symbols and either None, for _block_product's fresh arrays, or
-    the _level_views of a workspace, which the same steps write through."""
+    _circulant_product of the rows v, wbar, added into x[m] times the
+    cross column, with the cross row's dot product as entry m, plus the
+    banded product if there is one.  The arguments before x are op's
+    plan: its _block_symbols and the views of a workspace for half-size m
+    and embedding length L.  The views are dropped as soon as they are
+    read, so a workspace that only this call holds, as in
+    TpcOperator.matvec, is freed piece by piece: its spectra before y is
+    allocated, its rows before the banded product."""
     m = op.m
-    if views is None:
-        z0, z1 = _block_product(x[:m], x[m + 1:], length, S0, S1)
-        z0, z1 = z0[:m], z1[:m]
-    else:
-        X, F, off, swapped, pad, z0, z1 = views
-        pad.fill(0.0)
-        z0[...] = x[:m]
-        z1[...] = x[m + 1:]
-        _rfft(X, out=F)
-        np.multiply(swapped, S1, out=off)   # (K01 u1, K10 u0)
-        F *= S0                             # (K00 u0, K11 u1)
-        F += off
-        _irfft(F, length, out=X)            # the product rows land in z0, z1
+    _circulant_product(views, length, S0, S1, x[:m], x[m + 1:])
+    z0, z1 = views[5:]                  # the product rows' first m entries
+    del views
     y = op.col * x[m]
     y[:m] += z0
     y[m + 1:] += z1
+    del z0, z1
     # ndarray.dot: the same BLAS dot as @, at half the call overhead
     y[m] = op.row.dot(x)
     if op.banded is not None:
@@ -551,21 +535,29 @@ def _tpc_product(op, length, S0, S1, views, x):
     return y
 
 
-def _level_views(workspace, length, m):
+def _workspace_views(workspace, length, m):
     """The views of a workspace (spectra, scratch), two flat complex arrays
-    of at least 2 (L//2 + 1) entries, that _tpc_product writes through for
-    a level of half-size m and embedding length L: the real (2, L) rows X,
-    their (2, L//2 + 1) spectra F, the contraction temporary off, F with
-    its rows swapped, and X's zero padding X[:, m:] and rows X[0, :m],
-    X[1, :m].  X and off share the scratch array: off is used only
-    between the forward transform, which last reads X, and the inverse,
-    which writes it."""
+    of at least 2 (L//2 + 1) entries, that _circulant_product writes
+    through for rows of m entries and embedding length L: the real (2, L)
+    rows X, their (2, L//2 + 1) spectra F, the contraction temporary off,
+    F with its rows swapped, and X's zero padding X[:, m:] and rows
+    X[0, :m], X[1, :m].  X and off share the scratch array: off is used
+    only between the forward transforms, which last read X, and the
+    inverse ones, which write it."""
     spectra, scratch = workspace
     half = length // 2 + 1
     F = spectra[:2 * half].reshape(2, half)
     X = scratch.view(float)[:2 * length].reshape(2, length)
     return (X, F, scratch[:2 * half].reshape(2, half), F[::-1],
             X[:, m:], X[0, :m], X[1, :m])
+
+
+def _workspace(length):
+    """A fresh transform workspace (spectra, scratch) for embedding lengths
+    up to length: two complex arrays of 2 (L//2 + 1) entries, apart so that
+    each is freed once nothing views it."""
+    size = 2 * (length // 2 + 1)
+    return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
 
 
 # The largest embedding length a _level_products workspace serves.  The
@@ -586,16 +578,14 @@ def _level_products(ops):
     caller's products must run one at a time, and two threads need two
     sets.  The other operators' products are their own matvec."""
     plans = [(op, op._block_symbols()) for op in ops]
-    served = [symbols[0] for _, symbols in plans
-              if symbols[0] <= _WORKSPACE_MAX_LENGTH]
-    size = 2 * (max(served, default=0) // 2 + 1)
-    workspace = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    workspace = _workspace(max((symbols[0] for _, symbols in plans
+                                if symbols[0] <= _WORKSPACE_MAX_LENGTH), default=0))
     products = []
     for op, (length, S0, S1) in plans:
         if length > _WORKSPACE_MAX_LENGTH:
             products.append(op.matvec)
         else:
-            views = _level_views(workspace, length, op.m)
+            views = _workspace_views(workspace, length, op.m)
             products.append(functools.partial(_tpc_product, op, length, S0, S1, views))
     return products
 

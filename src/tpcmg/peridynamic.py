@@ -15,8 +15,8 @@ delta = 1/4 on the benchmark grids the two coincide, and for
 delta = sqrt(h) this is what reproduces the reported convergence orders).
 
 F_folded is the forcing minus the collar data's exterior-stencil sums;
-fold_boundary_rhs computes them as one kernels block product per collar
-side, in O(r log r) per step.
+fold_boundary_rhs computes them as one kernels._circulant_product per
+collar side, in O(r log r) per step.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (_block_product, _check_integer, _check_real, _embedded_symbols,
-                      _embedding_length, _tpc_from_tables)
+from .kernels import (_check_integer, _check_real, _circulant_product, _embedded_symbols,
+                      _embedding_length, _tpc_from_tables, _workspace, _workspace_views)
 
 __all__ = [
     "PdModelConfig",
@@ -225,8 +225,9 @@ def fold_boundary_rhs(system, F, collar):
     Each sum is an entry of the linear convolution of a collar vector (the
     right collar reversed) with one of the weights wA, wB (v rows) or wC,
     wD (w rows).  With the w collars one place on, every sum reads the
-    window [r, 2r], so each side's four are one kernels block product,
-    O(r log r) per step.
+    window [r, 2r], so each side's four are one kernels._circulant_product,
+    O(r log r) per step; both sides run through one transform workspace,
+    allocated for this call.
     """
     cfg = system.cfg
     N, r = cfg.N, cfg.r
@@ -241,18 +242,19 @@ def fold_boundary_rhs(system, F, collar):
     if F.shape != (2 * N - 1,):
         raise ValueError(f"F must have length {2 * N - 1}, got {F.shape}")
 
-    # the w collars one place on, so that the v rows read offsets [r, 2r)
-    # and the w rows [r, 2r] of every sum
-    lzv, lzw = _block_product(lv, np.concatenate(([0.0], lw)),
-                              *system._fold_spectra)
-    rzv, rzw = _block_product(rv[::-1], np.concatenate(([0.0], rw[::-1])),
-                              *system._fold_spectra)
     data = F.copy()
     Fv, Fw = data[:N - 1], data[N - 1:]
-    Fv[:r] -= lzv[r:2 * r]
-    Fw[:r + 1] -= lzw[r:2 * r + 1]
-    Fv[N - 1 - r:] -= rzv[r:2 * r][::-1]
-    Fw[N - 1 - r:] -= rzw[r:2 * r + 1][::-1]
+    length, S0, S1 = system._fold_spectra
+    views = _workspace_views(_workspace(length), length, r + 1)
+    zv, zw = views[0]                   # the product rows
+    # the w collars one place on, so that the v rows read offsets [r, 2r)
+    # and the w rows [r, 2r] of every sum
+    _circulant_product(views, length, S0, S1, lv, np.concatenate(([0.0], lw)))
+    Fv[:r] -= zv[r:2 * r]
+    Fw[:r + 1] -= zw[r:2 * r + 1]
+    _circulant_product(views, length, S0, S1, rv[::-1], np.concatenate(([0.0], rw[::-1])))
+    Fv[N - 1 - r:] -= zv[r:2 * r][::-1]
+    Fw[N - 1 - r:] -= zw[r:2 * r + 1][::-1]
     return data
 
 

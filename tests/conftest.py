@@ -36,6 +36,13 @@ def identity_tpc(m):
                        np.zeros(m), np.zeros(m), 1.0)
 
 
+def scaled_spec(spec, s):
+    """s times the ToeplitzSpec spec (s finite): the window scaled, and its
+    ends trimmed again where the product is zero (s = 0 leaves the zero
+    matrix's one-entry window)."""
+    return ToeplitzSpec._from_window(spec.m, spec.lo, spec.data * s)
+
+
 def scale_shift(op, scale, shift):
     """shift*I + scale*op, built from op's pieces: the identity goes into
     a_0, o and d_0.  The reference that kernels._tpc_from_tables(...,
@@ -46,7 +53,7 @@ def scale_shift(op, scale, shift):
         return ToeplitzSpec(spec.m, full)
 
     return TpcOperator(
-        shifted(op.A), op.Bbar.scaled(scale), op.Cbar.scaled(scale),
+        shifted(op.A), scaled_spec(op.Bbar, scale), scaled_spec(op.Cbar, scale),
         shifted(op.Dbar), op.p * scale, op.q * scale, op.xi * scale,
         op.zeta * scale, scale * op.o + shift,
         banded=None if op.banded is None else op.banded.scaled(scale))

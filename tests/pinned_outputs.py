@@ -64,7 +64,10 @@ def machine():
                           if line.startswith("model name")), model)
     except OSError:
         pass
-    from numpy._core._multiarray_umath import __cpu_features__ as features
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:                 # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as features
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "machine": platform.machine(),
             "cpu": model, "cpu_count": os.cpu_count(),

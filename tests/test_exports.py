@@ -140,7 +140,7 @@ def test_transform_use_detected():
                    "from scipy import fft\n", "from .kernels import _irfft\n",
                    "from . import kernels\ny = kernels._rfft(x)\n"):
         assert transform_uses(source), source
-    assert transform_uses("import scipy.linalg\nfrom .kernels import _block_product\n") == []
+    assert transform_uses("import scipy.linalg\nfrom .kernels import _circulant_product\n") == []
 
 
 @pytest.mark.parametrize("path", [p for p in PACKAGE_SOURCES if p.name != "kernels.py"],

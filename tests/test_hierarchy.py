@@ -12,8 +12,8 @@ from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
                    coarsen_banded, coarsen_tpc, prolong, restrict)
 from tpcmg.oracle import dense_galerkin, restriction_matrix, sym_eig_extremes
 
-from conftest import (identity_spec, identity_tpc, random_tpc, scale_shift, transpose_tpc,
-                      zero_spec)
+from conftest import (identity_spec, identity_tpc, random_tpc, scale_shift, scaled_spec,
+                      transpose_tpc, zero_spec)
 
 
 # coarse matrix of the all-ones/identity worked example, frozen times 8;
@@ -339,7 +339,7 @@ class TestBuildHierarchy:
         """Every piece is finite, but a_0 plus the band-0 correction
         overflows to inf in the dense coarsest matrix."""
         m, n = 3, 7
-        op = TpcOperator(identity_spec(m).scaled(1e308), zero_spec(m),
+        op = TpcOperator(scaled_spec(identity_spec(m), 1e308), zero_spec(m),
                          zero_spec(m), identity_spec(m),
                          np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m), 1.0,
                          banded=BandedCorrection(n, {0: np.full(n, 1e308)}))

@@ -17,7 +17,8 @@ from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
 from tpcmg import kernels, solver
 
 from conftest import (assert_same_bytes, break_mirror, dense_toeplitz, identity_spec,
-                      identity_tpc, random_tpc, scale_shift, tpc_pieces, zero_spec)
+                      identity_tpc, random_tpc, scale_shift, scaled_spec, tpc_pieces,
+                      zero_spec)
 
 
 class TestToeplitz:
@@ -71,15 +72,16 @@ class TestToeplitz:
         assert np.array_equal(spec.coeffs, c)
 
     def test_scaled_to_zero_trims_window(self, rng):
-        spec = ToeplitzSpec(9, rng.standard_normal(17)).scaled(0.0)
+        spec = scaled_spec(ToeplitzSpec(9, rng.standard_normal(17)), 0.0)
         assert (spec.lo, spec.stored_count, spec.reach) == (0, 1, 0)
         assert not spec.coeffs.any()
 
     @pytest.mark.parametrize("scale", [0.0, 1.0, -2.5, 1e-300])
     def test_scaled_and_transpose_match_constructor(self, rng, scale):
-        """Both work on the stored window and give bitwise the window that
-        the constructor trims from the scaled or reversed full sequence;
-        1e-300 underflows the 1e-30-sized window ends to zero."""
+        """Both work on the stored window (conftest's scaled_spec through
+        ToeplitzSpec._from_window) and give bitwise the window that the
+        constructor trims from the scaled or reversed full sequence; 1e-300
+        underflows the 1e-30-sized window ends to zero."""
         def same_window(spec, ref):
             return ((spec.m, spec.lo, spec.data.tobytes())
                     == (ref.m, ref.lo, ref.data.tobytes())
@@ -94,12 +96,12 @@ class TestToeplitz:
             c[hi + 1:] = 0.0
             c[[lo, hi]] = 1e-30 * rng.choice([-1.0, 1.0], size=2)
             spec = ToeplitzSpec(m, c)
-            assert same_window(spec.scaled(scale), ToeplitzSpec(m, c * scale))
+            assert same_window(scaled_spec(spec, scale), ToeplitzSpec(m, c * scale))
             assert same_window(spec.transpose(), ToeplitzSpec(m, c[::-1]))
-            assert same_window(spec.scaled(scale).transpose(),
+            assert same_window(scaled_spec(spec, scale).transpose(),
                                ToeplitzSpec(m, (c * scale)[::-1]))
             if scale == 1e-300 and hi > lo:
-                assert spec.scaled(scale).stored_count < spec.stored_count
+                assert scaled_spec(spec, scale).stored_count < spec.stored_count
 
     def test_length_mismatch(self):
         spec = identity_spec(4)
@@ -454,8 +456,8 @@ class TestEmbeddingLength:
     def test_reach_zero(self, rng, m):
         scale = rng.standard_normal(2)
         op = _windows_operator(rng, (
-            identity_spec(m).scaled(scale[0]), zero_spec(m),
-            zero_spec(m), identity_spec(m).scaled(scale[1])))
+            scaled_spec(identity_spec(m), scale[0]), zero_spec(m),
+            zero_spec(m), scaled_spec(identity_spec(m), scale[1])))
         assert _level_reach(op) == 0
         assert op._block_symbols()[0] == scipy.fft.next_fast_len(m, real=True)
 

@@ -7,7 +7,7 @@ import pytest
 from tpcmg import (GammaModelConfig, Hierarchy, PdModelConfig,
                    SmootherConfig, TpcOperator, assemble_gamma_system,
                    assemble_pd_system, build_hierarchy, build_step_operator,
-                   solve, vcycle)
+                   fold_boundary_rhs, solve, vcycle)
 from tpcmg.oracle import (dense_galerkin, dense_vcycle, restriction_matrix,
                           two_grid_a_norm)
 from tpcmg import kernels, solver
@@ -318,6 +318,31 @@ def step_hierarchy(model, N):
     return build_hierarchy(build_step_operator(system, 1.0 / N))
 
 
+def run_concurrently(run, calls=20):
+    """Two threads that start together and each call run(i) ``calls``
+    times, switching often so that the calls interleave; for each thread,
+    the set of distinct results."""
+    results = [None, None]
+    start = threading.Barrier(2)
+
+    def thread(i):
+        start.wait(timeout=60)
+        results[i] = {run(i) for _ in range(calls)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=thread, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
 class TestConcurrency:
     @pytest.mark.parametrize("model", ["pd-sym", "gamma"])
     def test_concurrent_solves_on_one_hierarchy_match_serial(self, rng, model):
@@ -335,29 +360,34 @@ class TestConcurrency:
             serial.append((x.tobytes(), report.iterations,
                            vcycle(serial_hier, b).tobytes()))
         shared = step_hierarchy(model, 64)
-        results = [None, None]
-        start = threading.Barrier(2)
 
         def run(i):
-            start.wait(timeout=60)
-            out = set()
-            for _ in range(20):
-                x, report = solve(shared, bs[i])
-                out.add((x.tobytes(), report.iterations, vcycle(shared, bs[i]).tobytes()))
-            results[i] = out
+            x, report = solve(shared, bs[i])
+            return x.tobytes(), report.iterations, vcycle(shared, bs[i]).tobytes()
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)       # switch often: the calls interleave
-        try:
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert results == [{serial[0]}, {serial[1]}]
+        assert run_concurrently(run) == [{serial[0]}, {serial[1]}]
+
+    def test_concurrent_matvecs_and_folds_match_serial(self, rng):
+        """Two threads that run TpcOperator.matvec on shared operators, one
+        on each side of _BATCH_MAX_LENGTH (m = 16385 embeds in L = 65536),
+        and fold_boundary_rhs on one shared PdSystem give bitwise the
+        serial results: each call allocates its own transform workspace."""
+        ops = [random_tpc(rng, m, banded_bw=1) for m in (200, 16385)]
+        assert [op._block_symbols()[0] > kernels._BATCH_MAX_LENGTH for op in ops] == \
+            [False, True]
+        cfg = PdModelConfig(N=512, delta=0.25, symmetric=False)
+        system = assemble_pd_system(cfg)
+        inputs = [([rng.standard_normal(op.n) for op in ops],
+                   rng.standard_normal(2 * cfg.N - 1), rng.standard_normal(4 * cfg.r + 2))
+                  for _ in range(2)]
+
+        def run(i):
+            xs, F, collar = inputs[i]
+            return (*(op.matvec(x).tobytes() for op, x in zip(ops, xs)),
+                    fold_boundary_rhs(system, F, collar).tobytes())
+
+        serial = [run(0), run(1)]
+        assert run_concurrently(run, calls=10) == [{serial[0]}, {serial[1]}]
 
 
 class TestTgmFactor:

@@ -10,8 +10,7 @@ the blocks' embedded symbols and one batched irfft (row by row above an
 embedding length of 32768).  _circulant_product is the one function that
 takes these steps, through the views of a transform workspace: two
 complex arrays, sized to the longest embedding they serve, that belong to
-one caller at a time.  Above the same length toeplitz_matvec runs
-through it too, as the product of its matrix's half-size blocks.
+one caller at a time.
 
 Every transform calls pocketfft's ``r2c``/``c2r`` directly, the entry
 points under ``scipy.fft.rfft``/``irfft``, with the arguments ``scipy.fft``
@@ -233,7 +232,7 @@ class ToeplitzSpec:
             self.lo = lo + first
             self.data = data[first:last + 1].copy()
         self.data.flags.writeable = False
-        self._symbol = self._halves = None
+        self._symbol = None
 
     @property
     def coeffs(self):
@@ -275,35 +274,12 @@ class ToeplitzSpec:
             self._symbol = (length, _rfft(_embedding_column(self, length)))
         return self._symbol
 
-    def _half_blocks(self):
-        """(h, L, S0, S1) of this matrix zero-padded to 2h x 2h, h = ceil(m/2):
-        the _circulant_product symbols of its blocks [[K, K+], [K-, K]],
-        whose offset l holds t_l, t_{l+h} and t_{l-h}, S0 = (K, K); cached."""
-        if self._halves is None:
-            h = (self.m + 1) // 2
-            blocks = []
-            for lo in (self.lo, self.lo - h, self.lo + h):    # clip to |l| < h
-                start, stop = np.clip([1 - h - lo, h - lo], 0, self.data.size).tolist()
-                blocks.append(ToeplitzSpec._from_window(h, lo + start, self.data[start:stop]))
-            length = _embedding_length(h, max(block.reach for block in blocks))
-            S = _rfft(np.stack([_embedding_column(block, length) for block in blocks]))
-            self._halves = (h, length, np.broadcast_to(S[0], S[1:].shape), S[1:])
-        return self._halves
-
 
 def toeplitz_matvec(T, x):
-    """Dense-equivalent product T @ x through the circulant embedding; above
-    an embedding length of _BATCH_MAX_LENGTH, the _circulant_product of
-    T's half-size blocks, whose transforms are half as long (see README)."""
+    """Dense-equivalent product T @ x through the circulant embedding."""
     x = np.asarray(x, dtype=float)
     if x.shape != (T.m,):
         raise ValueError(f"x must have length {T.m}, got {x.shape}")
-    if _embedding_length(T.m, T.reach) > _BATCH_MAX_LENGTH:
-        h, length, S0, S1 = T._half_blocks()
-        views = _workspace_views(_workspace(length), length, h)
-        u = np.append(x, 0.0) if T.m % 2 else x
-        _circulant_product(views, length, S0, S1, u[:h], u[h:])
-        return np.concatenate(views[5:])[:T.m]
     length, symbol = T._embedded_symbol()
     X = np.zeros(length)
     X[:T.m] = x
@@ -552,24 +528,11 @@ def _tpc_product(op, length, S0, S1, views, x):
     y[:m] += z0
     y[m + 1:] += z1
     del z0, z1
-    y[m] = _dot(op.row, x)
+    # ndarray.dot: the same BLAS dot as @, at half the call overhead
+    y[m] = op.row.dot(x)
     if op.banded is not None:
         y += op.banded.matvec(x)
     return y
-
-
-def _dot(a, b):
-    """a . b for 1-D float arrays on the calling thread: ndarray.dot (the
-    BLAS dot of @ at half the call overhead) up to 10000 entries, above
-    that one per 10000-entry piece, summed in order.  OpenBLAS runs a
-    longer dot on two threads; on a 2-vCPU VM whose second vCPU had idled,
-    each such call then waited about 8 ms, for a second or more."""
-    if a.size <= 10000:
-        return a.dot(b)
-    total = a[:10000].dot(b[:10000])
-    for i in range(10000, a.size, 10000):
-        total += a[i:i + 10000].dot(b[i:i + 10000])
-    return total
 
 
 def _workspace_views(workspace, length, m):

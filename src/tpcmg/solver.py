@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .hierarchy import prolong, restrict
-from .kernels import _check_integer, _check_real, _dot, _level_products
+from .kernels import _check_integer, _check_real, _level_products
 
 __all__ = [
     "SmootherConfig",
@@ -247,7 +247,7 @@ def solve(hier, b, cfg=None, tol=1e-15, max_iter=200):
 
     start = time.perf_counter()
     x = np.zeros_like(b)
-    r0 = math.sqrt(_dot(b, b))
+    r0 = math.sqrt(b.dot(b))
     report = SolveReport(iterations=0)
     if r0 == 0.0:
         report.status = "converged"
@@ -262,8 +262,8 @@ def solve(hier, b, cfg=None, tol=1e-15, max_iter=200):
         x += _cycle(hier, 0, r, cfg, cache, products)
         # the stop test's residual by the public matvec
         r = _residual(op.matvec, x, b)
-        # sqrt(r.r): up to n = 10000 bitwise np.linalg.norm(r)
-        rel = math.sqrt(_dot(r, r)) / r0
+        # sqrt(r.r): bitwise np.linalg.norm(r), without its dispatch
+        rel = math.sqrt(r.dot(r)) / r0
         history.append(rel)
         report.iterations = it
         if not math.isfinite(rel):

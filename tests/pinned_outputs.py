@@ -7,10 +7,10 @@ recomputes them and rewrites pinned_outputs.json beside this file;
 test_pinned_outputs.py recomputes them and compares.  Arrays are kept as
 SHA-256 digests of their raw float64 bytes (iteration counts as int64),
 each table also as the CSV text of its N, error, rate and iter columns so
-that a diff reads.  Rounding can differ with the library versions and
-the CPU (the SIMD kernels numpy, BLAS and the transforms pick at run
-time), so the file records the machine it was made on and its BLAS
-thread settings.
+that a diff reads.  Rounding can differ with the library versions, the
+CPU (the SIMD kernels numpy and the transforms pick at run time) and the
+BLAS thread count (a dot product longer than about 10^4 entries is summed
+in one piece per thread), so the file records the machine it was made on.
 """
 
 from __future__ import annotations

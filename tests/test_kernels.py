@@ -1,6 +1,5 @@
 import copy
 import functools
-import math
 import sys
 import time
 
@@ -47,38 +46,6 @@ class TestToeplitz:
         ref = dense_toeplitz(spec) @ x
         scale = 1.0 + np.abs(x).max() * np.abs(spec.coeffs).sum()
         assert np.abs(toeplitz_matvec(spec, x) - ref).max() <= 1e-11 * scale
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 64, 129])
-    @pytest.mark.parametrize("window", ["dense", "banded", "upper", "lower"])
-    def test_half_blocks_vs_dense(self, rng, monkeypatch, m, window):
-        """With the cutover at 0 every product runs as 2 x 2 half-size
-        blocks (odd m zero-padded), whatever part of the window each block
-        holds."""
-        monkeypatch.setattr(kernels, "_BATCH_MAX_LENGTH", 0)
-        lo, hi = {"dense": (1 - m, m - 1), "banded": (-1, 1),
-                  "upper": (m // 2, m - 1), "lower": (1 - m, -(m // 2))}[window]
-        spec = _window(rng, m, max(lo, 1 - m), min(hi, m - 1))
-        x = rng.standard_normal(m)
-        ref = dense_toeplitz(spec) @ x
-        scale = 1.0 + np.abs(x).max() * np.abs(spec.coeffs).sum()
-        assert np.abs(toeplitz_matvec(spec, x) - ref).max() <= 1e-11 * scale
-
-    @pytest.mark.parametrize("m", [32768, 40001])
-    @pytest.mark.parametrize("lo", [-5, 17000, -30010])
-    def test_half_blocks_above_cutover_vs_direct_sum(self, rng, m, lo):
-        """Above the cutover, an 11-offset window in the diagonal, upper or
-        lower half-size block against the sum over its offsets."""
-        data = rng.standard_normal(11)
-        spec = ToeplitzSpec._from_window(m, lo, data)
-        assert kernels._embedding_length(m, spec.reach) > kernels._BATCH_MAX_LENGTH
-        x = rng.standard_normal(m)
-        ref = np.zeros(m)
-        for l, t in enumerate(data, start=lo):
-            if l >= 0:
-                ref[:m - l] += t * x[l:]
-            else:
-                ref[-l:] += t * x[:m + l]
-        assert np.abs(toeplitz_matvec(spec, x) - ref).max() <= 1e-11 * (1.0 + np.abs(ref).max())
 
     @pytest.mark.slow
     def test_scaled_accuracy_invariant(self, rng):
@@ -539,18 +506,6 @@ class TestLevelProducts:
 def _wrapped(pair):
     """The scipy.fft functions under a fallback pair's ``out`` wrappers."""
     return tuple(transform.__wrapped__ for transform in pair)
-
-
-@pytest.mark.parametrize("n", [1, 9999, 10000, 10001, 25000, 65535])
-def test_dot_in_pieces_of_10000(rng, n):
-    """One BLAS dot up to 10000 entries, bitwise ndarray.dot; above, the
-    in-order sum of the 10000-entry pieces' dots, none long enough for
-    OpenBLAS to thread."""
-    a, b = rng.standard_normal(n), rng.standard_normal(n)
-    pieces = [a[i:i + 10000].dot(b[i:i + 10000]) for i in range(0, n, 10000)]
-    expected = functools.reduce(lambda s, t: s + t, pieces)
-    assert kernels._dot(a, b).tobytes() == expected.tobytes()
-    assert abs(kernels._dot(a, b) - math.fsum(a * b)) <= 1e-13 * np.abs(a * b).sum()
 
 
 class TestTransformPair:

@@ -36,7 +36,10 @@ _tpc_from_tables is the one mapping of a block matrix [M Q; P N], given
 by distance tables, onto the cross layout; both models assemble through it.
 It also applies a scale and an identity shift, so the BDF4 step operator
 shift*I + scale*[M Q; P N] is built straight from the tables, with the
-shift entering at a_0, o and d_0.
+shift entering at a_0, o and d_0.  The four tables and the four generating
+sequences are the rows of one array each, and the cross lines go to
+TpcOperator._from_lines, which __init__ shares, so every check runs; each
+sum is taken as for one block at a time, so the operator is bitwise the same.
 
 The operator classes here store only generating sequences (O(n) memory),
 each a read-only copy of what the constructor was given, and are
@@ -119,6 +122,13 @@ def _check_real(name, value):
     """Reject a parameter that is not a real number: a string, or a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_instance(name, value, cls):
+    """Reject an argument that is not a cls instance, such as a string or a
+    dict in place of a configuration."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 # Above this embedding length _circulant_product transforms its two rows
@@ -209,26 +219,35 @@ class ToeplitzSpec:
             raise ValueError("m must be positive")
         if coeffs.shape != (2 * m - 1,):
             raise ValueError(f"coeffs must have length 2m-1={2 * m - 1}, got {coeffs.shape}")
-        self._set_window(m, -(m - 1), coeffs)
+        self._set_window(m, -(m - 1), coeffs, _window_ends(coeffs[None])[0])
+
+    @classmethod
+    def _from_windows(cls, m, lo, rows):
+        """One m x m matrix per row of the 2-D array rows, whose offsets
+        lo, lo + 1, ... hold that row; the zero ends of all rows are found
+        at once."""
+        specs = []
+        for row, ends in zip(rows, _window_ends(rows)):
+            spec = cls.__new__(cls)
+            spec._set_window(m, lo, row, ends)
+            specs.append(spec)
+        return specs
 
     @classmethod
     def _from_window(cls, m, lo, data):
         """The m x m matrix whose offsets lo, lo + 1, ... hold data."""
-        spec = cls.__new__(cls)
-        spec._set_window(m, lo, data)
-        return spec
+        return cls._from_windows(m, lo, data[None])[0]
 
-    def _set_window(self, m, lo, data):
-        """Store data, its first entry at offset lo, with its zero ends
-        trimmed (the zero matrix keeps the one-entry window [0.0] at 0)."""
+    def _set_window(self, m, lo, data, ends):
+        """Store data, its first entry at offset lo, trimmed to its nonzero
+        ends (first, last); ends None stores the zero matrix as the
+        one-entry window [0.0] at 0."""
         self.m = int(m)
-        # the window ends by argmax on a mask: no index array for dense windows
-        nz = data != 0.0
-        if not nz.any():
+        if ends is None:
             self.lo = 0
             self.data = np.zeros(1)
         else:
-            first, last = int(nz.argmax()), data.size - 1 - int(nz[::-1].argmax())
+            first, last = ends
             self.lo = lo + first
             self.data = data[first:last + 1].copy()
         self.data.flags.writeable = False
@@ -237,10 +256,7 @@ class ToeplitzSpec:
     @property
     def coeffs(self):
         """Full generating sequence, length 2m-1, index l + m - 1."""
-        full = np.zeros(2 * self.m - 1)
-        k = self.lo + self.m - 1
-        full[k:k + self.data.size] = self.data
-        return full
+        return _full_sequences((self,))[0]
 
     @property
     def stored_count(self):
@@ -273,6 +289,28 @@ class ToeplitzSpec:
             length = _embedding_length(self.m, self.reach)
             self._symbol = (length, _rfft(_embedding_column(self, length)))
         return self._symbol
+
+
+def _window_ends(rows):
+    """(first, last) index of the nonzero entries of each row of a 2-D
+    array, or None for a zero row: argmax on a mask, so no index array for
+    dense rows."""
+    nz = rows != 0.0
+    firsts = nz.argmax(axis=1).tolist()
+    lasts = (rows.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)).tolist()
+    return [(first, last) if mask[first] else None
+            for mask, first, last in zip(nz, firsts, lasts)]
+
+
+def _full_sequences(specs):
+    """The (k, 2m - 1) array whose rows are the full generating sequences
+    of k m x m blocks, each window written into a row of zeros."""
+    m = specs[0].m
+    full = np.zeros((len(specs), 2 * m - 1))
+    for row, spec in zip(full, specs):
+        k = spec.lo + m - 1
+        row[k:k + spec.data.size] = spec.data
+    return full
 
 
 def toeplitz_matvec(T, x):
@@ -308,7 +346,9 @@ class BandedCorrection:
                 raise ValueError(f"band {l} must have length {n - abs(l)}, got {band.shape}")
             if np.any(band):
                 mirror = self.bands.get(-int(l))
-                shared = mirror is not None and band.tobytes() == mirror.tobytes()
+                # bitwise, as integers of the same width: no byte copies
+                shared = mirror is not None and np.array_equal(
+                    band.view(np.int64), mirror.view(np.int64))
                 band = self.bands[int(l)] = mirror if shared else band.copy()
                 band.flags.writeable = False
 
@@ -377,18 +417,35 @@ class TpcOperator:
 
     def __init__(self, A, Bbar, Cbar, Dbar, p, q, xi, zeta, o, banded=None):
         m = A.m
+        for name, vec in (("p", p), ("q", q), ("xi", xi), ("zeta", zeta)):
+            if np.shape(vec) != (m,):
+                raise ValueError(f"cross vector {name} must have length {m}")
+        # copies: the operator does not share the caller's arrays
+        self._set_pieces(A, Bbar, Cbar, Dbar, np.concatenate([p, [o], xi], dtype=float),
+                         np.concatenate([q, [o], zeta], dtype=float), banded)
+
+    @classmethod
+    def _from_lines(cls, A, Bbar, Cbar, Dbar, col, row, banded=None):
+        """The operator whose cross column is col and cross row is row,
+        two length-n float arrays that it takes over (see _set_pieces)."""
+        op = cls.__new__(cls)
+        op._set_pieces(A, Bbar, Cbar, Dbar, col, row, banded)
+        return op
+
+    def _set_pieces(self, A, Bbar, Cbar, Dbar, col, row, banded):
+        """Store the blocks and the cross lines col and row, which become
+        the operator's own, read-only: the centre o is col's (row's entry
+        m is overwritten with it), and row is col when they are equal.
+        Then check every piece and read ``symmetric`` from the data."""
+        m = A.m
         if not (Bbar.m == Cbar.m == Dbar.m == m):
             raise ValueError("all Toeplitz blocks must share the half-size m")
         self.A, self.Bbar, self.Cbar, self.Dbar = A, Bbar, Cbar, Dbar
         self.m = m
         self.n = 2 * m + 1
-        for name, vec in (("p", p), ("q", q), ("xi", xi), ("zeta", zeta)):
-            if np.shape(vec) != (m,):
-                raise ValueError(f"cross vector {name} must have length {m}")
-        # copies, read-only: the operator does not share the caller's arrays
-        self.col = np.concatenate([p, [o], xi], dtype=float)
-        row = np.concatenate([q, [o], zeta], dtype=float)
-        self.row = self.col if np.array_equal(row, self.col) else row
+        row[m] = col[m]
+        self.col = col
+        self.row = col if np.array_equal(row, col) else row
         self.col.flags.writeable = self.row.flags.writeable = False
         self.p, self.xi = self.col[:m], self.col[m + 1:]
         self.q, self.zeta = self.row[:m], self.row[m + 1:]
@@ -405,14 +462,17 @@ class TpcOperator:
     def _check_finite(self):
         """Reject NaN or infinite Toeplitz windows, cross vectors and the
         center o, naming the piece: one isfinite pass over each stored
-        array."""
-        for name in ("A", "Bbar", "Cbar", "Dbar", "p", "q", "xi", "zeta", "o"):
-            piece = getattr(self, name)
-            if isinstance(piece, ToeplitzSpec):
-                kind, piece = "Toeplitz block", piece.data
-            else:
+        array, the cross pieces looked at one by one only when a cross
+        line fails."""
+        for name in ("A", "Bbar", "Cbar", "Dbar"):
+            if not np.isfinite(getattr(self, name).data).all():
+                self._reject_non_finite(f"Toeplitz block {name}")
+        lines = (self.col,) if self.row is self.col else (self.col, self.row)
+        if all(np.isfinite(line).all() for line in lines):
+            return
+        for name in ("p", "q", "xi", "zeta", "o"):
+            if not np.isfinite(getattr(self, name)).all():
                 kind = "center" if name == "o" else "cross vector"
-            if not np.isfinite(piece).all():
                 self._reject_non_finite(f"{kind} {name}")
 
     def _reject_non_finite(self, piece):
@@ -610,21 +670,24 @@ def _tpc_from_tables(m, tM, tQ, tP, tN, banded=None, scale=1.0, shift=0.0):
     is added to the scaled tM_0 and tN_0, which are a_0, and o and d_0:
     scale = 1, shift = 0 gives the unscaled operator bitwise.
     """
-    def fit(table, size):
-        out = np.zeros(size)
+    # row k: the scaled tM, tQ, tP, tN, each read as zero past its end
+    tables = np.zeros((4, m + 1))
+    for row, table, size in zip(tables, (tM, tQ, tP, tN), (m, m, m, m + 1)):
         table = np.asarray(table, dtype=float)[:size]
-        np.multiply(table, scale, out=out[:table.size])
-        return out
-
-    tM, tQ, tP, tN = fit(tM, m), fit(tQ, m), fit(tP, m), fit(tN, m + 1)
+        np.multiply(table, scale, out=row[:table.size])
+    tM, tQ, tP, tN = tables
     tM[0] += shift
     tN[0] += shift
-    # generating sequences over the offsets -(m-1) .. m-1
-    A = ToeplitzSpec(m, np.concatenate([tM[1:][::-1], tM]))
-    Bbar = ToeplitzSpec(m, np.concatenate([tQ[:m - 1][::-1], tQ]))
-    Cbar = ToeplitzSpec(m, np.concatenate([tP[::-1], tP[:m - 1]]))
-    Dbar = ToeplitzSpec(m, np.concatenate([tN[1:m][::-1], tN[:m]]))
-    xi = tN[1:]
+    # the generating sequences of A, Bbar, Cbar, Dbar over the offsets
+    # -(m-1) .. m-1, index m - 1 holding offset 0
+    full = np.empty((4, 2 * m - 1))
+    np.concatenate([tM[1:m][::-1], tM[:m]], out=full[0])
+    np.concatenate([tQ[:m - 1][::-1], tQ[:m]], out=full[1])
+    np.concatenate([tP[:m][::-1], tP[:m - 1]], out=full[2])
+    np.concatenate([tN[1:m][::-1], tN[:m]], out=full[3])
+    blocks = ToeplitzSpec._from_windows(m, 1 - m, full)
+    # the cross column [p, o, xi] = [tQ, tN] and row [q, o, zeta] = [tP, tN]
+    col, row = np.concatenate([tQ[:m], tN]), np.concatenate([tP[:m], tN])
     if banded is not None:
         banded = banded.scaled(scale)
-    return TpcOperator(A, Bbar, Cbar, Dbar, tQ, tP, xi, xi, tN[0], banded)
+    return TpcOperator._from_lines(*blocks, col, row, banded)

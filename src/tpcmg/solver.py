@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .hierarchy import prolong, restrict
-from .kernels import _check_integer, _check_real, _level_products
+from .kernels import _check_instance, _check_integer, _check_real, _level_products
 
 __all__ = [
     "SmootherConfig",
@@ -203,6 +203,15 @@ def _smooth(product, x, b, wdinv):
     x += r
 
 
+def _smoother(cfg):
+    """cfg, or the default SmootherConfig for None; anything else that is
+    not a SmootherConfig is rejected."""
+    if cfg is None:
+        return SmootherConfig()
+    _check_instance("smoother", cfg, SmootherConfig)
+    return cfg
+
+
 def _rhs_array(n, b):
     """b as a float array, checked against the system size n."""
     b = np.asarray(b, dtype=float)
@@ -215,7 +224,7 @@ def _rhs_array(n, b):
 
 def vcycle(hier, b, cfg=None):
     """One V(m1, m2) cycle for the finest system, zero initial guess."""
-    cfg = cfg or SmootherConfig()
+    cfg = _smoother(cfg)
     b = _rhs_array(hier.finest.n, b)
     cache = _cycle_cache(hier, cfg)
     return _cycle(hier, 0, b, cfg, cache, _products(hier, cache))
@@ -240,7 +249,7 @@ def solve(hier, b, cfg=None, tol=1e-15, max_iter=200):
     non-finite residual are reported, not raised; a bad b, tol or max_iter
     raises ValueError.  b is never written.
     """
-    cfg = cfg or SmootherConfig()
+    cfg = _smoother(cfg)
     _check_stopping(tol, max_iter)
     b = _rhs_array(hier.finest.n, b)
     op = hier.finest

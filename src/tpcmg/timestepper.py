@@ -34,7 +34,7 @@ from .hierarchy import build_hierarchy
 from .kernels import _check_real, _tpc_from_tables
 from .peridynamic import (assemble_pd_system, fold_boundary_rhs,
                           pd_exact_forcing, sample_collar)
-from .solver import SmootherConfig, solve
+from .solver import _smoother, solve
 
 __all__ = [
     "TransientConfig",
@@ -121,7 +121,7 @@ def bdf4_march(problem, cfg, smoother=None, tol=1e-15, max_iter=200, coarsest=7)
     covers the whole call; solve_time only the solves after startup.
     """
     start = time.perf_counter()
-    smoother = smoother or SmootherConfig()
+    smoother = _smoother(smoother)
     tau = cfg.tau
     history = [problem.exact(j * tau) for j in range(4)]
     hier = build_hierarchy(build_step_operator(problem.system, tau), coarsest)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from tpcmg import BandedCorrection, ToeplitzSpec, TpcOperator
+from tpcmg import BandedCorrection, ToeplitzSpec, TpcOperator, restrict
 
 
 @pytest.fixture
@@ -147,3 +147,88 @@ def random_tpc(rng, m, symmetric=False, banded_bw=None):
                     bands[-l] = bands[l].copy()
         banded = BandedCorrection(n, bands)
     return TpcOperator(A, Bbar, Cbar, Dbar, p, q, xi, zeta, o, banded=banded)
+
+
+# ---------------------------------------------------------------------------
+# References for the stacked set-up: coarsen_tpc, coarsen_banded and
+# kernels._tpc_from_tables as they were written block by block, each block
+# and each band through fresh arrays.  The package must equal them bitwise.
+
+def ref_coeffs(spec):
+    """spec's full generating sequence, written out here."""
+    full = np.zeros(2 * spec.m - 1)
+    k = spec.lo + spec.m - 1
+    full[k:k + spec.data.size] = spec.data
+    return full
+
+
+def ref_coarsen_sequence(full):
+    """The five-point rule on one full generating sequence."""
+    even, odd = full[0::2], full[1::2]
+    return ((even[:-2] + even[2:]) + 4.0 * (odd[:-1] + odd[1:])
+            + 6.0 * even[1:-1]) / 8.0
+
+
+def ref_coarsen_tpc(fine):
+    """Block-by-block Galerkin coarsening of a Toeplitz-plus-Cross level."""
+    m = fine.m
+    mc = (m - 1) // 2
+    fa, fb, fc, fd = (ref_coeffs(fine.A), ref_coeffs(fine.Bbar),
+                      ref_coeffs(fine.Cbar), ref_coeffs(fine.Dbar))
+    A, B, C, D = (ToeplitzSpec(mc, ref_coarsen_sequence(f)) for f in (fa, fb, fc, fd))
+    left = np.concatenate([fa[m - 1:][::-1], [fine.q[-1]], fc[m - 1:][::-1]])
+    right = np.concatenate([fb[:m][::-1], [fine.zeta[0]], fd[:m][::-1]])
+    col = restrict(fine.col + 0.5 * (left + right))
+    above = np.concatenate([fa[:m], [fine.p[-1]], fb[:m]])
+    below = np.concatenate([fc[m - 1:], [fine.xi[0]], fd[m - 1:]])
+    row = restrict(fine.row + 0.5 * (above + below))
+    banded = None if fine.banded is None else ref_coarsen_banded(fine.banded)
+    return TpcOperator(A, B, C, D, col[:mc], row[:mc], col[mc + 1:],
+                       row[mc + 1:], col[mc], banded=banded)
+
+
+def ref_coarsen_banded(fine):
+    """Band-by-band stencil coarsening, one temporary per stencil term."""
+    n = fine.n
+    nc = (n - 1) // 2
+    bwc = min(nc - 1, (fine.bandwidth + 2) // 2) if fine.bands else 0
+    weights = ((-1, 1.0), (0, 2.0), (1, 1.0))
+    terms = [(a, b) for a in weights for b in weights]
+    mirrored = [(b, a) for a, b in terms]
+    bands = {}
+    for lc in range(-bwc, bwc + 1):
+        count = nc - abs(lc)
+        acc = np.zeros(count)
+        row = 2 * max(0, -lc) + 1
+        for (da, wa), (db, wb) in terms if lc >= 0 else mirrored:
+            lf = 2 * lc + db - da
+            band = fine.band(lf)
+            if band is None:
+                continue
+            start = row + da if lf >= 0 else row + 2 * lc + db
+            acc += (wa * wb / 8.0) * band[start:start + 2 * count - 1:2]
+        if np.any(acc):
+            bands[lc] = acc
+    return BandedCorrection(nc, bands)
+
+
+def ref_tpc_from_tables(m, tM, tQ, tP, tN, banded=None, scale=1.0, shift=0.0):
+    """The operator of shift*I + scale*([M Q; P N] + banded), each table
+    fitted and each generating sequence concatenated on its own."""
+    def fit(table, size):
+        out = np.zeros(size)
+        table = np.asarray(table, dtype=float)[:size]
+        np.multiply(table, scale, out=out[:table.size])
+        return out
+
+    tM, tQ, tP, tN = fit(tM, m), fit(tQ, m), fit(tP, m), fit(tN, m + 1)
+    tM[0] += shift
+    tN[0] += shift
+    A = ToeplitzSpec(m, np.concatenate([tM[1:][::-1], tM]))
+    Bbar = ToeplitzSpec(m, np.concatenate([tQ[:m - 1][::-1], tQ]))
+    Cbar = ToeplitzSpec(m, np.concatenate([tP[::-1], tP[:m - 1]]))
+    Dbar = ToeplitzSpec(m, np.concatenate([tN[1:m][::-1], tN[:m]]))
+    xi = tN[1:]
+    if banded is not None:
+        banded = banded.scaled(scale)
+    return TpcOperator(A, Bbar, Cbar, Dbar, tQ, tP, xi, xi, tN[0], banded)

@@ -176,10 +176,11 @@ class TestMarch:
         after the first solve is a level of the march's hierarchy: no
         stationary operator is built and held."""
         built = []
-        init = TpcOperator.__init__
+        # every constructor, public or from cross lines, stores through this
+        set_pieces = TpcOperator._set_pieces
 
-        def tracked_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
+        def tracked_set_pieces(self, *args, **kwargs):
+            set_pieces(self, *args, **kwargs)
             built.append(weakref.ref(self))
 
         solve = timestepper.solve
@@ -195,7 +196,7 @@ class TestMarch:
                 assert not strays, f"operators of size {strays} alive beside the levels"
             return out
 
-        monkeypatch.setattr(TpcOperator, "__init__", tracked_init)
+        monkeypatch.setattr(TpcOperator, "_set_pieces", tracked_set_pieces)
         monkeypatch.setattr(timestepper, "solve", checked_solve)
         problem = make_problem()
         bdf4_march(problem, TransientConfig(tau=1.0 / 16.0, final_time=6.0 / 16.0))

@@ -1,16 +1,20 @@
 """Integer and real parameters are rejected by name at the API boundary
 when they have the wrong type: a bool is not a count, and a string or a
-bool is not a step size or a tolerance.  Values of the right type but
-outside what the API accepts are rejected with a message of their own."""
+bool is not a step size or a tolerance; nor is a string or a dict a
+smoother or a finest level.  Values of the right type but outside what
+the API accepts are rejected with a message of their own."""
+
+import re
 
 import numpy as np
 import pytest
 
 from tpcmg import (BandedCorrection, GammaModelConfig, Hierarchy,
                    PdModelConfig, SmootherConfig, ToeplitzSpec, TpcOperator,
-                   TransientConfig, assemble_pd_system, build_hierarchy,
-                   build_step_operator, coarsen_banded, gamma_coefficients,
-                   pd_coefficients, solve)
+                   TransientConfig, assemble_pd_system, bdf4_march,
+                   build_hierarchy, build_step_operator, coarsen_banded,
+                   gamma_coefficients, pd_coefficients,
+                   pd_manufactured_problem, solve, vcycle)
 from tpcmg.bench import run_scaling
 from tpcmg.oracle import certify_section4, dense_galerkin
 
@@ -21,8 +25,12 @@ def _pd_system():
     return assemble_pd_system(PdModelConfig(N=8, delta=0.25, symmetric=True))
 
 
+def _hierarchy():
+    return build_hierarchy(_pd_system().op)
+
+
 def _solve(**kwargs):
-    hier = build_hierarchy(_pd_system().op)
+    hier = _hierarchy()
     return solve(hier, np.ones(hier.finest.n), **kwargs)
 
 
@@ -69,6 +77,27 @@ REAL_CALLERS = {
 def test_non_number_real_rejected(caller, value):
     name, call = REAL_CALLERS[caller]
     with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+        call(value)
+
+
+INSTANCE_CALLERS = {
+    "solve.cfg": ("smoother", "SmootherConfig",
+                  lambda v: solve(_hierarchy(), np.ones(15), v)),
+    "vcycle.cfg": ("smoother", "SmootherConfig",
+                   lambda v: vcycle(_hierarchy(), np.ones(15), v)),
+    "bdf4_march.smoother": ("smoother", "SmootherConfig", lambda v: bdf4_march(
+        pd_manufactured_problem(PdModelConfig(N=8)), TransientConfig(tau=0.125),
+        smoother=v)),
+    "build_hierarchy.finest": ("finest", "TpcOperator", build_hierarchy),
+}
+
+
+@pytest.mark.parametrize("value", ["fast", {"omega_pre": 1.0}, {}, 0])
+@pytest.mark.parametrize("caller", sorted(INSTANCE_CALLERS))
+def test_wrong_instance_rejected(caller, value):
+    name, kind, call = INSTANCE_CALLERS[caller]
+    message = re.escape(f"{name} must be a {kind}, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call(value)
 
 

@@ -3,14 +3,18 @@ folds and level products that the code must reproduce bitwise.
 
     PYTHONPATH=src python tests/pinned_outputs.py
 
-recomputes them and rewrites pinned_outputs.json beside this file;
-test_pinned_outputs.py recomputes them and compares.  Arrays are kept as
+recomputes them and writes them into pinned_outputs.json beside this
+file, as the entry for the machine it runs on: an entry made on another
+machine is kept, one made on this machine is replaced.
+test_pinned_outputs.py recomputes them and compares with the entry for
+its machine.  Arrays are kept as
 SHA-256 digests of their raw float64 bytes (iteration counts as int64),
 each table also as the CSV text of its N, error, rate and iter columns so
 that a diff reads.  Rounding can differ with the library versions, the
 CPU (the SIMD kernels numpy and the transforms pick at run time) and the
 BLAS thread count (a dot product longer than about 10^4 entries is summed
-in one piece per thread), so the file records the machine it was made on.
+in one piece per thread), so the file holds one entry per machine, each
+with the machine it was made on.
 """
 
 from __future__ import annotations
@@ -117,10 +121,24 @@ def compute():
     return entries
 
 
+def recorded():
+    """The entries on record, one {"machine", "entries"} dict per machine."""
+    if not REFERENCE.exists():
+        return []
+    return json.loads(REFERENCE.read_text())["machines"]
+
+
+def entry_for(here, records):
+    """The record made on the machine here, or None."""
+    return next((record for record in records if record["machine"] == here), None)
+
+
 def main():
-    REFERENCE.write_text(json.dumps({"machine": machine(), "entries": compute()},
-                                    indent=1) + "\n")
-    print(f"wrote {REFERENCE}", file=sys.stderr)
+    here = machine()
+    records = [record for record in recorded() if record["machine"] != here]
+    records.append({"machine": here, "entries": compute()})
+    REFERENCE.write_text(json.dumps({"machines": records}, indent=1) + "\n")
+    print(f"wrote the entry for {here['cpu']} into {REFERENCE}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .hierarchy import build_hierarchy
 from .kernels import _check_integer
 from .oracle import certify_section4, gamma_dense_reference, pd_dense_reference
 from .peridynamic import PdModelConfig, assemble_pd_system
-from .solver import SmootherConfig, vcycle
+from .solver import vcycle
 from .timestepper import (TransientConfig, bdf4_march, build_step_operator,
                           gamma_manufactured_problem, pd_manufactured_problem)
 
@@ -74,7 +74,6 @@ def run_table(model, Ns, gamma=0.0, delta=0.25, tol=1e-15, max_iter=200,
     row a nan error and leaves its rate and the next row's rate unset, and
     the run continues.
     """
-    smoother = smoother or SmootherConfig()
     rows = []
     prev_N = prev_error = None
     for N in Ns:

@@ -10,7 +10,8 @@ the blocks' embedded symbols and one batched irfft (row by row above an
 embedding length of 32768).  _circulant_product is the one function that
 takes these steps, through the views of a transform workspace: two
 complex arrays, sized to the longest embedding they serve, that belong to
-one caller at a time.
+one caller at a time.  _embedded_symbols alone makes the symbols it reads,
+for a TpcOperator's blocks and for the peridynamic fold's weights alike.
 
 Every transform calls pocketfft's ``r2c``/``c2r`` directly, the entry
 points under ``scipy.fft.rfft``/``irfft``, with the arguments ``scipy.fft``
@@ -43,9 +44,10 @@ sum is taken as for one block at a time, so the operator is bitwise the same.
 
 The operator classes here store only generating sequences (O(n) memory),
 each a read-only copy of what the constructor was given, and are
-immutable after construction apart from lazily filled symbol caches, so
-they can be shared freely across threads; no transform workspace is kept
-on an operator or in the module.
+immutable after construction apart from a TpcOperator's block symbols,
+filled on its first product, so they can be shared freely across threads.
+A ToeplitzSpec keeps no transform state, and no transform workspace is
+kept on an operator or in the module.
 """
 
 from __future__ import annotations
@@ -125,10 +127,11 @@ def _check_real(name, value):
 
 
 def _check_instance(name, value, cls):
-    """Reject an argument that is not a cls instance, such as a string or a
-    dict in place of a configuration."""
+    """Reject an argument that is not an instance of cls, a class or a tuple
+    of classes, such as a string or a dict in place of a configuration."""
     if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+        kinds = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise ValueError(f"{name} must be a {kinds}, got {value!r}")
 
 
 # Above this embedding length _circulant_product transforms its two rows
@@ -193,11 +196,13 @@ def _circulant_product(views, length, S0, S1, u0, u1):
             _irfft(spectrum, length, out=row)
 
 
-def _embedded_symbols(columns):
-    """(L, S0, S1) for _circulant_product from the (4, L) array of the
-    embedding columns of the blocks (K00, K11, K01, K10): one batched rfft."""
-    length = columns.shape[1]
-    S = _rfft(columns).reshape(2, 2, length // 2 + 1)
+def _embedded_symbols(columns, length):
+    """(L, S0, S1) for _circulant_product from an iterable of the length-L
+    embedding columns of the blocks (K00, K11, K01, K10), transformed one by
+    one: a generator holds one column, not 2 MiB of them at L = 65536."""
+    S = np.empty((2, 2, length // 2 + 1), dtype=complex)
+    for spectrum, column in zip(S.reshape(4, -1), columns):
+        _rfft(column, out=spectrum)
     return length, S[0], S[1]
 
 
@@ -206,10 +211,9 @@ class ToeplitzSpec:
 
     Entry (i, j) equals ``t[j - i]``; offsets run over [-(m-1), m-1].  Only
     the nonzero window of the sequence is kept (coarse-level operators of
-    the banded models have short supports), and the FFT of the embedding
-    circulant's first column is cached lazily for matvecs.  No symmetry is
-    declared here: an operator built from these blocks reads it from the
-    windows.
+    the banded models have short supports): a spec holds m, lo and data,
+    and nothing else.  No symmetry is declared here: an operator built from
+    these blocks reads it from the windows.
     """
 
     def __init__(self, m, coeffs):
@@ -233,11 +237,6 @@ class ToeplitzSpec:
             specs.append(spec)
         return specs
 
-    @classmethod
-    def _from_window(cls, m, lo, data):
-        """The m x m matrix whose offsets lo, lo + 1, ... hold data."""
-        return cls._from_windows(m, lo, data[None])[0]
-
     def _set_window(self, m, lo, data, ends):
         """Store data, its first entry at offset lo, trimmed to its nonzero
         ends (first, last); ends None stores the zero matrix as the
@@ -251,7 +250,6 @@ class ToeplitzSpec:
             self.lo = lo + first
             self.data = data[first:last + 1].copy()
         self.data.flags.writeable = False
-        self._symbol = None
 
     @property
     def coeffs(self):
@@ -281,14 +279,7 @@ class ToeplitzSpec:
 
     def transpose(self):
         """The transpose: the window reversed, its offsets mirrored."""
-        return ToeplitzSpec._from_window(self.m, -self.hi, self.data[::-1])
-
-    def _embedded_symbol(self):
-        """rfft of the first column of the embedding circulant (cached)."""
-        if self._symbol is None:
-            length = _embedding_length(self.m, self.reach)
-            self._symbol = (length, _rfft(_embedding_column(self, length)))
-        return self._symbol
+        return ToeplitzSpec._from_windows(self.m, -self.hi, self.data[None, ::-1])[0]
 
 
 def _window_ends(rows):
@@ -314,11 +305,12 @@ def _full_sequences(specs):
 
 
 def toeplitz_matvec(T, x):
-    """Dense-equivalent product T @ x through the circulant embedding."""
+    """T @ x through the circulant embedding, its symbol made on each call."""
     x = np.asarray(x, dtype=float)
     if x.shape != (T.m,):
         raise ValueError(f"x must have length {T.m}, got {x.shape}")
-    length, symbol = T._embedded_symbol()
+    length = _embedding_length(T.m, T.reach)
+    symbol = _rfft(_embedding_column(T, length))
     X = np.zeros(length)
     X[:T.m] = x
     X = _rfft(X)
@@ -507,12 +499,8 @@ class TpcOperator:
         if self._symbols is None:
             specs = (self.A, self.Dbar, self.Bbar, self.Cbar)
             length = _embedding_length(self.m, max(spec.reach for spec in specs))
-            # one column at a time: a (4, L) column stack would hold
-            # 2 MiB at once at L = 65536
-            S = np.empty((2, 2, length // 2 + 1), dtype=complex)
-            for k, spec in enumerate(specs):
-                S[k // 2, k % 2] = _rfft(_embedding_column(spec, length))
-            self._symbols = (length, S[0], S[1])
+            self._symbols = _embedded_symbols(
+                (_embedding_column(spec, length) for spec in specs), length)
         return self._symbols
 
     def matvec(self, x):

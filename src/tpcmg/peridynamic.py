@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (_check_integer, _check_real, _circulant_product, _embedded_symbols,
-                      _embedding_length, _tpc_from_tables, _workspace, _workspace_views)
+from .kernels import (_check_instance, _check_integer, _check_real, _circulant_product,
+                      _embedded_symbols, _embedding_length, _tpc_from_tables,
+                      _workspace, _workspace_views)
 
 __all__ = [
     "PdModelConfig",
@@ -164,7 +165,7 @@ class PdSystem:
         for col, w in zip(columns, (coeffs.a[1:], coeffs.d[1:], coeffs.a_half[1:], coeffs.c)):
             col[:w.size] = w
         columns /= self.scale
-        self._fold_spectra = _embedded_symbols(columns)
+        self._fold_spectra = _embedded_symbols(columns, length)
 
     @property
     def op(self):
@@ -195,6 +196,7 @@ def sample_collar(cfg, g):
     right_v: x_N .. x_{N+r}               (r+1 values)
     right_w: x_{N+1/2} .. x_{N+r-1/2}     (r values)
     """
+    _check_instance("cfg", cfg, PdModelConfig)
     h, N, r = cfg.h, cfg.N, cfg.r
     xs = np.concatenate([
         np.arange(-r, 1) * h,
@@ -229,6 +231,7 @@ def fold_boundary_rhs(system, F, collar):
     O(r log r) per step; both sides run through one transform workspace,
     allocated for this call.
     """
+    _check_instance("system", system, PdSystem)
     cfg = system.cfg
     N, r = cfg.N, cfg.r
     collar = np.asarray(collar, dtype=float)

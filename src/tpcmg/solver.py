@@ -7,9 +7,10 @@ dense LU factors.  The cycle below n = 63 (from the first level above the
 coarsest with n <= 63 down) is applied as one dense matrix, built on first
 use from that same recursion and cached on the hierarchy per smoother,
 together with each level's smoother diagonals omega_pre D^{-1} and
-omega_post D^{-1}, scaled once so a sweep multiplies by one array.  The
-cycle's products come from kernels._level_products: each solve, each
-vcycle call and each tail build takes one set, whose small levels share
+omega_post D^{-1}, scaled once so a sweep multiplies by one array, and
+every level's block symbols; bdf4_march builds it before its first step.
+The cycle's products come from kernels._level_products: each solve, each
+vcycle call and each cache build takes one set, whose small levels share
 one transform workspace that lives only as long as that call, so a
 hierarchy can serve concurrent calls.  The sweeps and residuals work in
 place on the cycle's own iterate and on each fresh product, never on the
@@ -140,14 +141,16 @@ class _CycleCache:
 
 
 def _cycle_cache(hier, cfg):
+    """hier's _CycleCache for cfg, built on first use with every level's symbols."""
     cache = hier.cycle_cache.get(cfg)
     if cache is None:
         above = hier.levels[:-1]
         cache = _CycleCache([_smoother_diagonals(op, cfg) for op in above])
+        products = _products(hier, cache)       # every level above the coarsest
+        hier.finest._block_symbols()            # the stop test's, at any depth
         small = [k for k, op in enumerate(above) if op.n <= _TAIL_SIZE]
         if small:
             k, n = small[0], above[small[0]].n
-            products = _products(hier, cache, k)
             tail, e = np.empty((n, n)), np.zeros(n)
             for j in range(n):      # column by column: no n x n identity
                 e[j] = 1.0
@@ -158,13 +161,13 @@ def _cycle_cache(hier, cfg):
     return cache
 
 
-def _products(hier, cache, start=0):
-    """The products x -> op x that cycles from level start use, indexed by
-    level (None above start): one kernels._level_products set, whose
-    transform workspace belongs to the calling solve, vcycle or tail
-    build alone."""
+def _products(hier, cache):
+    """The products x -> op x that cycles use, indexed by level, down to
+    the cache's tail level (every level above the coarsest while it has
+    none): one kernels._level_products set, whose transform workspace
+    belongs to the calling solve, vcycle or cache build alone."""
     stop = hier.depth - 1 if cache.tail_level is None else cache.tail_level
-    return [None] * start + _level_products(hier.levels[start:stop])
+    return _level_products(hier.levels[:stop])
 
 
 def _cycle(hier, k, b, cfg, cache, products):

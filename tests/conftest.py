@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from tpcmg import BandedCorrection, ToeplitzSpec, TpcOperator, restrict
+from tpcmg import BandedCorrection, ToeplitzSpec, TpcOperator, kernels, restrict
 
 
 @pytest.fixture
@@ -40,7 +40,7 @@ def scaled_spec(spec, s):
     """s times the ToeplitzSpec spec (s finite): the window scaled, and its
     ends trimmed again where the product is zero (s = 0 leaves the zero
     matrix's one-entry window)."""
-    return ToeplitzSpec._from_window(spec.m, spec.lo, spec.data * s)
+    return ToeplitzSpec._from_windows(spec.m, spec.lo, spec.data[None] * s)[0]
 
 
 def scale_shift(op, scale, shift):
@@ -232,3 +232,41 @@ def ref_tpc_from_tables(m, tM, tQ, tP, tN, banded=None, scale=1.0, shift=0.0):
     if banded is not None:
         banded = banded.scaled(scale)
     return TpcOperator(A, Bbar, Cbar, Dbar, tQ, tP, xi, xi, tN[0], banded)
+
+
+# ---------------------------------------------------------------------------
+# References for the embedded symbols: TpcOperator._block_symbols as it was
+# written block by block, and the peridynamic fold spectra as one batched
+# transform of the stacked weight columns.  kernels._embedded_symbols, the
+# one builder of both, must equal them bitwise.
+
+def ref_block_symbols(op):
+    """(L, S0, S1) of op's blocks ((A, Dbar), (Bbar, Cbar)), each block's
+    embedding column transformed on its own and stored into the stack."""
+    specs = (op.A, op.Dbar, op.Bbar, op.Cbar)
+    length = kernels._embedding_length(op.m, max(spec.reach for spec in specs))
+    S = np.empty((2, 2, length // 2 + 1), dtype=complex)
+    for k, spec in enumerate(specs):
+        S[k // 2, k % 2] = kernels._rfft(kernels._embedding_column(spec, length))
+    return length, S[0], S[1]
+
+
+def ref_fold_spectra(system):
+    """(L, S0, S1) of a PdSystem's fold weights wA, wD, wB, wC over eta:
+    one batched transform of the (4, L) column stack."""
+    r = system.cfg.r
+    a, a_half, c, d = system.tables
+    length = kernels._embedding_length(r + 1, r)
+    columns = np.zeros((4, length))
+    for col, w in zip(columns, (a[1:], d[1:], a_half[1:], c)):
+        col[:w.size] = w
+    columns /= system.scale
+    S = kernels._rfft(columns).reshape(2, 2, length // 2 + 1)
+    return length, S[0], S[1]
+
+
+def same_symbols(symbols, ref):
+    """Whether two (L, S0, S1) agree bitwise."""
+    return (symbols[0] == ref[0]
+            and all(s.shape == t.shape and s.tobytes() == t.tobytes()
+                    for s, t in zip(symbols[1:], ref[1:])))

@@ -79,7 +79,7 @@ class TestToeplitz:
     @pytest.mark.parametrize("scale", [0.0, 1.0, -2.5, 1e-300])
     def test_scaled_and_transpose_match_constructor(self, rng, scale):
         """Both work on the stored window (conftest's scaled_spec through
-        ToeplitzSpec._from_window) and give bitwise the window that the
+        ToeplitzSpec._from_windows) and give bitwise the window that the
         constructor trims from the scaled or reversed full sequence; 1e-300
         underflows the 1e-30-sized window ends to zero."""
         def same_window(spec, ref):
@@ -478,7 +478,8 @@ class TestEmbeddingLength:
         op = _windows_operator(rng, specs)
         assert op._block_symbols()[0] == m + reach
         for spec in specs:
-            assert spec.reach == reach and spec._embedded_symbol()[0] == m + reach
+            assert spec.reach == reach
+            assert kernels._embedding_length(m, spec.reach) == m + reach
 
 
 class TestLevelProducts:
@@ -587,7 +588,7 @@ class TestTransformPair:
 def test_toeplitz_matvec_runtime_growth(rng):
     """time(4n)/time(n) <= 5.5, median of 15, for n in {2^12, 2^14}."""
     def median_time(spec, x):
-        for _ in range(2):         # warm the cached symbol and FFT plan
+        for _ in range(2):         # warm the FFT plan cache
             toeplitz_matvec(spec, x)
         times = []
         for _ in range(15):

@@ -73,7 +73,7 @@ def _window(rng, m, lo, hi, palindrome=False):
     data[zeros] = 0.0
     if data.size > 2:
         data[data.size // 2] = -0.0
-    return ToeplitzSpec._from_window(m, lo, data)
+    return ToeplitzSpec._from_windows(m, lo, data[None])[0]
 
 
 def random_windowed_tpc(rng, m, symmetric, kind, bandwidth):

@@ -10,7 +10,7 @@ from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
                    build_step_operator, fold_boundary_rhs, gamma_coefficients,
                    gamma_exact_forcing, gamma_manufactured_problem,
                    pd_coefficients, pd_exact_forcing, pd_manufactured_problem,
-                   sample_collar, timestepper)
+                   sample_collar, solver, timestepper)
 from tpcmg.kernels import _tpc_from_tables
 from tpcmg.oracle import gamma_dense_reference, sym_eig_extremes
 
@@ -201,6 +201,48 @@ class TestMarch:
         problem = make_problem()
         bdf4_march(problem, TransientConfig(tau=1.0 / 16.0, final_time=6.0 / 16.0))
         assert checked and checked[0] >= 2      # the levels themselves are seen
+
+    @pytest.mark.parametrize("make_problem", [
+        lambda: gamma_manufactured_problem(GammaModelConfig(N=64, gamma=0.5)),
+        lambda: pd_manufactured_problem(PdModelConfig(N=64, delta=0.25, symmetric=True)),
+        lambda: pd_manufactured_problem(PdModelConfig(N=4, delta=0.25, symmetric=True)),
+    ], ids=["gamma", "pd-sym", "one-level"])
+    def test_setup_built_before_first_solve(self, monkeypatch, make_problem):
+        """The cycle's set-up is built before the step loop: inside the
+        march's solves no cycle cache is built and no level computes its
+        block symbols, so solve_time times solves only.  The one-level
+        hierarchy (n = 7, the coarsest) still gets the stop test's symbols."""
+        solving, built, missed = [False], [], []
+        solve = timestepper.solve
+
+        def flagged_solve(*args, **kwargs):
+            solving[0] = True
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                solving[0] = False
+
+        cycle_cache = solver._CycleCache
+        block_symbols = TpcOperator._block_symbols
+
+        def counted_cycle_cache(*args, **kwargs):
+            built.append(solving[0])
+            return cycle_cache(*args, **kwargs)
+
+        def counted_block_symbols(op):
+            if op._symbols is None:
+                missed.append(solving[0])
+            return block_symbols(op)
+
+        monkeypatch.setattr(timestepper, "solve", flagged_solve)
+        monkeypatch.setattr(solver, "_CycleCache", counted_cycle_cache)
+        monkeypatch.setattr(TpcOperator, "_block_symbols", counted_block_symbols)
+        problem = make_problem()
+        N = problem.system.cfg.N
+        result = bdf4_march(problem, TransientConfig(tau=1.0 / N, final_time=8.0 / N))
+        assert len(result.reports) == 5 and all(rep.converged for rep in result.reports)
+        assert built == [False]
+        assert missed and not any(missed)
 
     def test_concurrent_marches_match_serial(self):
         """Each march keeps its state per call: two marches on two threads

@@ -1,8 +1,10 @@
 """Integer and real parameters are rejected by name at the API boundary
 when they have the wrong type: a bool is not a count, and a string or a
-bool is not a step size or a tolerance; nor is a string or a dict a
-smoother or a finest level.  Values of the right type but outside what
-the API accepts are rejected with a message of their own."""
+bool is not a step size or a tolerance; nor is a string, a dict or a
+zero a smoother, a finest level, a system, a problem or a configuration,
+nor one model's system or configuration the other's.  Values of the right
+type but outside what the API accepts are rejected with a message of
+their own."""
 
 import re
 
@@ -11,11 +13,12 @@ import pytest
 
 from tpcmg import (BandedCorrection, GammaModelConfig, Hierarchy,
                    PdModelConfig, SmootherConfig, ToeplitzSpec, TpcOperator,
-                   TransientConfig, assemble_pd_system, bdf4_march,
-                   build_hierarchy, build_step_operator, coarsen_banded,
-                   gamma_coefficients, pd_coefficients,
-                   pd_manufactured_problem, solve, vcycle)
-from tpcmg.bench import run_scaling
+                   TransientConfig, assemble_gamma_system, assemble_pd_system,
+                   bdf4_march, build_hierarchy, build_step_operator,
+                   coarsen_banded, fold_boundary_rhs, gamma_coefficients,
+                   pd_coefficients, pd_manufactured_problem, sample_collar,
+                   solve, vcycle)
+from tpcmg.bench import run_scaling, run_table
 from tpcmg.oracle import certify_section4, dense_galerkin
 
 from conftest import zero_spec
@@ -27,6 +30,10 @@ def _pd_system():
 
 def _hierarchy():
     return build_hierarchy(_pd_system().op)
+
+
+def _pd_problem():
+    return pd_manufactured_problem(PdModelConfig(N=8))
 
 
 def _solve(**kwargs):
@@ -86,9 +93,18 @@ INSTANCE_CALLERS = {
     "vcycle.cfg": ("smoother", "SmootherConfig",
                    lambda v: vcycle(_hierarchy(), np.ones(15), v)),
     "bdf4_march.smoother": ("smoother", "SmootherConfig", lambda v: bdf4_march(
-        pd_manufactured_problem(PdModelConfig(N=8)), TransientConfig(tau=0.125),
-        smoother=v)),
+        _pd_problem(), TransientConfig(tau=0.125), smoother=v)),
+    "run_table.smoother": ("smoother", "SmootherConfig",
+                           lambda v: run_table("pd-sym", [8], smoother=v)),
     "build_hierarchy.finest": ("finest", "TpcOperator", build_hierarchy),
+    "bdf4_march.problem": ("problem", "TransientProblem",
+                           lambda v: bdf4_march(v, TransientConfig(tau=0.125))),
+    "bdf4_march.cfg": ("cfg", "TransientConfig", lambda v: bdf4_march(_pd_problem(), v)),
+    "build_step_operator.system": ("system", "PdSystem or GammaSystem",
+                                   lambda v: build_step_operator(v, 0.1)),
+    "fold_boundary_rhs.system": ("system", "PdSystem", lambda v: fold_boundary_rhs(
+        v, np.zeros(15), np.zeros(6))),
+    "sample_collar.cfg": ("cfg", "PdModelConfig", lambda v: sample_collar(v, np.cos)),
 }
 
 
@@ -99,6 +115,43 @@ def test_wrong_instance_rejected(caller, value):
     message = re.escape(f"{name} must be a {kind}, got {value!r}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(value)
+
+
+def _gamma_system():
+    return assemble_gamma_system(GammaModelConfig(N=8, gamma=0.5))
+
+
+# one model's objects, or a number, where another type is expected
+WRONG_KIND_CALLS = {
+    "fold_boundary_rhs.gamma_system": (
+        "system", "PdSystem", _gamma_system,
+        lambda v: fold_boundary_rhs(v, np.zeros(15), np.zeros(6))),
+    "sample_collar.gamma_cfg": (
+        "cfg", "PdModelConfig", lambda: GammaModelConfig(N=8, gamma=0.5),
+        lambda v: sample_collar(v, np.cos)),
+    "bdf4_march.cfg_float": ("cfg", "TransientConfig", lambda: 0.25,
+                             lambda v: bdf4_march(_pd_problem(), v)),
+    "bdf4_march.problem_system": (
+        "problem", "TransientProblem", _pd_system,
+        lambda v: bdf4_march(v, TransientConfig(tau=0.125))),
+    "build_step_operator.gamma_cfg": (
+        "system", "PdSystem or GammaSystem", lambda: GammaModelConfig(N=8, gamma=0.5),
+        lambda v: build_step_operator(v, 0.1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KIND_CALLS))
+def test_wrong_kind_rejected(case):
+    name, kind, make_value, call = WRONG_KIND_CALLS[case]
+    value = make_value()
+    message = re.escape(f"{name} must be a {kind}, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(value)
+
+
+def test_both_systems_accepted_by_step_operator():
+    for system in (_pd_system(), _gamma_system()):
+        assert build_step_operator(system, 0.1).n == 15
 
 
 def _tpc(m, *, block_m=None, p_len=None, banded=None):

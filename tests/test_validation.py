@@ -149,11 +149,6 @@ def test_wrong_kind_rejected(case):
         call(value)
 
 
-def test_both_systems_accepted_by_step_operator():
-    for system in (_pd_system(), _gamma_system()):
-        assert build_step_operator(system, 0.1).n == 15
-
-
 def _tpc(m, *, block_m=None, p_len=None, banded=None):
     """A TpcOperator of half-size m with one piece of the wrong size."""
     zeros = np.zeros(m)

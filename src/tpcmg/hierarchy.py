@@ -39,13 +39,14 @@ _FULL_WEIGHTING.flags.writeable = False
 
 def restrict(x):
     """Full weighting: (Rx)_i = (x_{2i-1} + 2 x_{2i} + x_{2i+1}) / 4, the
-    stencil's correlation with x kept at every other point."""
+    stencil's correlation with x kept at every other point, copied out so
+    that the fine-length correlation is freed at once."""
     x = np.asarray(x, dtype=float)
     n = x.size
     if x.ndim != 1 or n % 2 == 0 or n < 3:
         raise ValueError("restriction needs a 1-D array of odd length >= 3, "
                          f"got shape {x.shape}")
-    return np.correlate(x, _FULL_WEIGHTING)[::2]
+    return np.correlate(x, _FULL_WEIGHTING)[::2].copy()
 
 
 def prolong(x):

@@ -6,12 +6,12 @@ whose stored offsets reach |l| <= r has length next_fast_len(m + r): a
 dense window gets the usual 2m - 1, a banded one (the peridynamic
 levels, r about m/4) a shorter transform.  A 2x2 block-of-Toeplitz
 product is one batched rfft of two zero-padded rows, a contraction with
-the blocks' embedded symbols and one batched irfft (row by row above an
-embedding length of 32768).  _circulant_product is the one function that
-takes these steps, through the views of a transform workspace: two
-complex arrays, sized to the longest embedding they serve, that belong to
-one caller at a time.  _embedded_symbols alone makes the symbols it reads,
-for a TpcOperator's blocks and for the peridynamic fold's weights alike.
+the blocks' embedded symbols and one batched irfft, at every length.
+_circulant_product is the one function that takes these steps, through
+the views of a transform workspace: two complex arrays, sized to the
+longest embedding they serve, that belong to one caller at a time.
+_embedded_symbols alone makes the symbols it reads, for a TpcOperator's
+blocks and for the peridynamic fold's weights alike.
 
 Every transform calls pocketfft's ``r2c``/``c2r`` directly, the entry
 points under ``scipy.fft.rfft``/``irfft``, with the arguments ``scipy.fft``
@@ -27,11 +27,11 @@ the column [p, o, xi] and the row [q, o, zeta] (one array when they are
 equal), so every product is assembled the same way, by _tpc_product:
 x[m] times the column, the block product's two rows added into its
 slices, the row's dot product with x as entry m, and the banded product
-added if there is one.  TpcOperator.matvec runs it through a workspace
-allocated for that call.  _level_products gives a caller, such as one
-solve, products for a list of levels that share one workspace, sized to
-the longest level it serves and with each level's views taken once; the
-peridynamic boundary fold takes one workspace for both collar sides.
+added if there is one.  A march, solve or vcycle holds one workspace,
+sized to its finest level, for its whole call (_holding_workspace) in a
+context variable, which each thread starts without.  TpcOperator.matvec,
+_level_products and the peridynamic fold write through the held one, and
+allocate one for the call when none that long is held.
 
 _tpc_from_tables is the one mapping of a block matrix [M Q; P N], given
 by distance tables, onto the cross layout; both models assemble through it.
@@ -47,11 +47,13 @@ each a read-only copy of what the constructor was given, and are
 immutable after construction apart from a TpcOperator's block symbols,
 filled on its first product, so they can be shared freely across threads.
 A ToeplitzSpec keeps no transform state, and no transform workspace is
-kept on an operator or in the module.
+kept on an operator or in a module global.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import numbers
 
@@ -134,17 +136,6 @@ def _check_instance(name, value, cls):
         raise ValueError(f"{name} must be a {kinds}, got {value!r}")
 
 
-# Above this embedding length _circulant_product transforms its two rows
-# one at a time.  In gamma N = 2^15 BDF4 marches (32 steps, two marches per
-# fresh process, on a 2-core x86-64 host), batching the n = 65535 level too
-# cost 9700-10100 minor page faults per step in the first march and
-# 3550-6020 in the second, for 0.98-0.99 s and 0.78-0.86 s of solve time;
-# row by row it cost 5850 and 55-1020 faults per step, for 0.88-0.94 s and
-# 0.67-0.75 s.  Below the cutover batching saves two transform calls per
-# product, which the small levels need.
-_BATCH_MAX_LENGTH = 32768
-
-
 def _embedding_length(m, reach):
     """Length of the embedding circulant of m x m Toeplitz blocks whose
     stored offsets satisfy |l| <= reach: the product needs no wrap-around
@@ -174,26 +165,16 @@ def _circulant_product(views, length, S0, S1, u0, u1):
     u0 and u1 are loaded into the rows, zero-padded to L; each row becomes
     the whole length-L circulant product, the Toeplitz one in its first
     u0.size entries.  One batched rfft, the contraction and one batched
-    irfft, written through the views; above _BATCH_MAX_LENGTH the two rows
-    are transformed one at a time."""
+    irfft, written through the views, at every length."""
     X, F, off, swapped, pad, z0, z1 = views
     pad.fill(0.0)
     z0[...] = u0
     z1[...] = u1
-    batched = length <= _BATCH_MAX_LENGTH
-    if batched:
-        _rfft(X, out=F)
-    else:
-        for row, spectrum in zip(X, F):
-            _rfft(row, out=spectrum)
+    _rfft(X, out=F)
     np.multiply(swapped, S1, out=off)   # (K01 u1, K10 u0)
     F *= S0                             # (K00 u0, K11 u1)
     F += off
-    if batched:
-        _irfft(F, length, out=X)
-    else:
-        for spectrum, row in zip(F, X):
-            _irfft(spectrum, length, out=row)
+    _irfft(F, length, out=X)
 
 
 def _embedded_symbols(columns, length):
@@ -504,15 +485,15 @@ class TpcOperator:
         return self._symbols
 
     def matvec(self, x):
-        """Product with a length-n array, by _tpc_product through a transform
-        workspace allocated for this call alone: the operator holds none,
-        so concurrent callers can share it."""
+        """Product with a length-n array, by _tpc_product through the
+        caller's workspace (_workspace_for): the operator holds none, so
+        concurrent callers can share it."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"x must have length {self.n}, got {x.shape}")
         length, S0, S1 = self._block_symbols()
         return _tpc_product(self, length, S0, S1,
-                            _workspace_views(_workspace(length), length, self.m), x)
+                            _workspace_views(_workspace_for(length), length, self.m), x)
 
     def dense(self):
         """Dense n x n matrix, expanded entry by entry from the blocks, the
@@ -564,18 +545,13 @@ def _tpc_product(op, length, S0, S1, views, x):
     cross column, with the cross row's dot product as entry m, plus the
     banded product if there is one.  The arguments before x are op's
     plan: its _block_symbols and the views of a workspace for half-size m
-    and embedding length L.  The views are dropped as soon as they are
-    read, so a workspace that only this call holds, as in
-    TpcOperator.matvec, is freed piece by piece: its spectra before y is
-    allocated, its rows before the banded product."""
+    and embedding length L."""
     m = op.m
     _circulant_product(views, length, S0, S1, x[:m], x[m + 1:])
     z0, z1 = views[5:]                  # the product rows' first m entries
-    del views
     y = op.col * x[m]
     y[:m] += z0
     y[m + 1:] += z1
-    del z0, z1
     # ndarray.dot: the same BLAS dot as @, at half the call overhead
     y[m] = op.row.dot(x)
     if op.banded is not None:
@@ -602,40 +578,56 @@ def _workspace_views(workspace, length, m):
 
 def _workspace(length):
     """A fresh transform workspace (spectra, scratch) for embedding lengths
-    up to length: two complex arrays of 2 (L//2 + 1) entries, apart so that
-    each is freed once nothing views it."""
+    up to length: two complex arrays of 2 (L//2 + 1) entries."""
     size = 2 * (length // 2 + 1)
     return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
 
 
-# The largest embedding length a _level_products workspace serves.  The
-# workspace is held for a whole solve, on top of the transient arrays of
-# the levels it does not serve.  At 4096 it serves every pd-sym N = 512
-# level (L <= 640) and gamma's levels up to n = 4095, and the tracemalloc
-# peak of a gamma N = 2^15 march (set-up and 16 steps) went 23.42 ->
-# 23.56 MB; serving up to 16384 read 23.95 MB and up to 32768 24.48 MB.
-_WORKSPACE_MAX_LENGTH = 4096
+# What _holding_workspace holds, or None: (workspace, the _level_products
+# made in it).  A context variable, which each new thread starts without,
+# so a held workspace serves one caller alone.
+_held = contextvars.ContextVar("tpcmg_transform_workspace", default=None)
+
+
+@contextlib.contextmanager
+def _holding_workspace(op):
+    """Hold a workspace for the products of op and of shorter operators
+    while the block runs: the one held already if it serves op, else a
+    fresh one.  The one held before, if any, is held again on exit."""
+    length = op._block_symbols()[0]
+    token = _held.set(_held_serving(length) or (_workspace(length), {}))
+    try:
+        yield
+    finally:
+        _held.reset(token)
+
+
+def _held_serving(length):
+    """The held (workspace, products) if it serves embedding length L, else None."""
+    held = _held.get()
+    return held if held is not None and held[0][0].size >= 2 * (length // 2 + 1) else None
+
+
+def _workspace_for(length):
+    """The held workspace if it serves embedding length L, else a fresh one."""
+    held = _held_serving(length)
+    return _workspace(length) if held is None else held[0]
 
 
 def _level_products(ops):
     """One product x -> op x per operator in ops, bitwise op.matvec(x)
-    without its checks.  The operators whose embedding length is at most
-    _WORKSPACE_MAX_LENGTH share one transform workspace, sized to the
-    longest of them and held only by the returned products: each product
-    writes it through and is done with it before the next starts, so one
-    caller's products must run one at a time, and two threads need two
-    sets.  The other operators' products are their own matvec."""
+    without its checks, all through one workspace, each level's views
+    taken once, so they run one at a time; while a workspace serving ops
+    is held, the same ops get the same products back."""
     plans = [(op, op._block_symbols()) for op in ops]
-    workspace = _workspace(max((symbols[0] for _, symbols in plans
-                                if symbols[0] <= _WORKSPACE_MAX_LENGTH), default=0))
-    products = []
-    for op, (length, S0, S1) in plans:
-        if length > _WORKSPACE_MAX_LENGTH:
-            products.append(op.matvec)
-        else:
-            views = _workspace_views(workspace, length, op.m)
-            products.append(functools.partial(_tpc_product, op, length, S0, S1, views))
-    return products
+    longest = max((symbols[0] for _, symbols in plans), default=0)
+    workspace, products = _held_serving(longest) or (_workspace(longest), {})
+    key = tuple(ops)
+    if key not in products:
+        products[key] = [functools.partial(_tpc_product, op, length, S0, S1,
+                                           _workspace_views(workspace, length, op.m))
+                         for op, (length, S0, S1) in plans]
+    return products[key]
 
 
 def _tpc_from_tables(m, tM, tQ, tP, tN, banded=None, scale=1.0, shift=0.0):

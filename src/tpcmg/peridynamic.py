@@ -28,7 +28,7 @@ import numpy as np
 
 from .kernels import (_check_instance, _check_integer, _check_real, _circulant_product,
                       _embedded_symbols, _embedding_length, _tpc_from_tables,
-                      _workspace, _workspace_views)
+                      _workspace_for, _workspace_views)
 
 __all__ = [
     "PdModelConfig",
@@ -229,7 +229,7 @@ def fold_boundary_rhs(system, F, collar):
     wD (w rows).  With the w collars one place on, every sum reads the
     window [r, 2r], so each side's four are one kernels._circulant_product,
     O(r log r) per step; both sides run through one transform workspace,
-    allocated for this call.
+    a march's held one (kernels._workspace_for) or one for this call.
     """
     _check_instance("system", system, PdSystem)
     cfg = system.cfg
@@ -248,7 +248,7 @@ def fold_boundary_rhs(system, F, collar):
     data = F.copy()
     Fv, Fw = data[:N - 1], data[N - 1:]
     length, S0, S1 = system._fold_spectra
-    views = _workspace_views(_workspace(length), length, r + 1)
+    views = _workspace_views(_workspace_for(length), length, r + 1)
     zv, zw = views[0]                   # the product rows
     # the w collars one place on, so that the v rows read offsets [r, 2r)
     # and the w rows [r, 2r] of every sum

@@ -9,9 +9,9 @@ use from that same recursion and cached on the hierarchy per smoother,
 together with each level's smoother diagonals omega_pre D^{-1} and
 omega_post D^{-1}, scaled once so a sweep multiplies by one array, and
 every level's block symbols; bdf4_march builds it before its first step.
-The cycle's products come from kernels._level_products: each solve, each
-vcycle call and each cache build takes one set, whose small levels share
-one transform workspace that lives only as long as that call, so a
+Every product of a solve, vcycle call or march (every level's, the cache
+build's, the stop test's) writes through the one transform workspace the
+call holds (kernels._holding_workspace), which no other call sees, so a
 hierarchy can serve concurrent calls.  The sweeps and residuals work in
 place on the cycle's own iterate and on each fresh product, never on the
 right-hand side.  The outer iteration applies cycles to the residual,
@@ -30,7 +30,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .hierarchy import prolong, restrict
-from .kernels import _check_instance, _check_integer, _check_real, _level_products
+from .kernels import (_check_instance, _check_integer, _check_real, _holding_workspace,
+                      _level_products)
 
 __all__ = [
     "SmootherConfig",
@@ -164,8 +165,8 @@ def _cycle_cache(hier, cfg):
 def _products(hier, cache):
     """The products x -> op x that cycles use, indexed by level, down to
     the cache's tail level (every level above the coarsest while it has
-    none): one kernels._level_products set, whose transform workspace
-    belongs to the calling solve, vcycle or cache build alone."""
+    none): the kernels._level_products of the workspace that the calling
+    march, solve or vcycle holds."""
     stop = hier.depth - 1 if cache.tail_level is None else cache.tail_level
     return _level_products(hier.levels[:stop])
 
@@ -229,8 +230,9 @@ def vcycle(hier, b, cfg=None):
     """One V(m1, m2) cycle for the finest system, zero initial guess."""
     cfg = _smoother(cfg)
     b = _rhs_array(hier.finest.n, b)
-    cache = _cycle_cache(hier, cfg)
-    return _cycle(hier, 0, b, cfg, cache, _products(hier, cache))
+    with _holding_workspace(hier.finest):
+        cache = _cycle_cache(hier, cfg)
+        return _cycle(hier, 0, b, cfg, cache, _products(hier, cache))
 
 
 def _check_stopping(tol, max_iter):
@@ -266,31 +268,32 @@ def solve(hier, b, cfg=None, tol=1e-15, max_iter=200):
         report.wall_time = time.perf_counter() - start
         return x, report
 
-    cache = _cycle_cache(hier, cfg)
-    products = _products(hier, cache)
-    r, rel = b, 1.0
-    history = report.relative_residuals
-    for it in range(1, max_iter + 1):
-        x += _cycle(hier, 0, r, cfg, cache, products)
-        # the stop test's residual by the public matvec
-        r = _residual(op.matvec, x, b)
-        # sqrt(r.r): bitwise np.linalg.norm(r), without its dispatch
-        rel = math.sqrt(r.dot(r)) / r0
-        history.append(rel)
-        report.iterations = it
-        if not math.isfinite(rel):
-            report.status = "non_finite"
-            break
-        if rel < tol:
-            report.status = "converged"
-            break
-        if len(history) >= 4 and all(
-                history[-k] > 0.99 * history[-k - 1] for k in (1, 2, 3)):
-            report.status = ("diverged" if rel > 1.0 else
-                             "stagnated" if rel >= _STALL_BOUND else "stalled")
-            break
-    else:
-        report.status = "diverged" if rel > 1.0 else "max_iter"
+    with _holding_workspace(op):
+        cache = _cycle_cache(hier, cfg)
+        products = _products(hier, cache)       # a march's, if in one
+        r, rel = b, 1.0
+        history = report.relative_residuals
+        for it in range(1, max_iter + 1):
+            x += _cycle(hier, 0, r, cfg, cache, products)
+            # the stop test's residual by the public matvec
+            r = _residual(op.matvec, x, b)
+            # sqrt(r.r): bitwise np.linalg.norm(r), without its dispatch
+            rel = math.sqrt(r.dot(r)) / r0
+            history.append(rel)
+            report.iterations = it
+            if not math.isfinite(rel):
+                report.status = "non_finite"
+                break
+            if rel < tol:
+                report.status = "converged"
+                break
+            if len(history) >= 4 and all(
+                    history[-k] > 0.99 * history[-k - 1] for k in (1, 2, 3)):
+                report.status = ("diverged" if rel > 1.0 else
+                                 "stagnated" if rel >= _STALL_BOUND else "stalled")
+                break
+        else:
+            report.status = "diverged" if rel > 1.0 else "max_iter"
     report.wall_time = time.perf_counter() - start
     if history:
         report.contraction_estimate = history[-1] ** (1.0 / len(history))

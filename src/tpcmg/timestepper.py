@@ -7,10 +7,12 @@ boundary contributions, so one BDF4 step solves
     (25/12 I + (tau/eta) A) U^k
         = 4 U^{k-1} - 3 U^{k-2} + 4/3 U^{k-3} - 1/4 U^{k-4} + tau G(t_k).
 
-The step operator is time-independent; its hierarchy is built once per
-march.  It is assembled straight from the system's distance tables, the
-identity shift entering through them at a_0, o and d_0, so no stationary
-operator is built or held during a march.  The startup values U^0 ...
+The step operator is time-independent: its hierarchy, the cycle's set-up
+and products, and the transform workspace that every product of the
+march writes through are made once per march, before the first step.
+It is assembled straight from the system's distance tables, the identity
+shift entering through them at a_0, o and d_0, so no stationary operator
+is built or held during a march.  The startup values U^0 ...
 U^3 come from the exact solution: the fourth-order tables are only
 reproducible with non-polluting startup.
 
@@ -31,10 +33,10 @@ import numpy as np
 
 from .gamma_model import GammaSystem, assemble_gamma_system, gamma_exact_forcing
 from .hierarchy import build_hierarchy
-from .kernels import _check_instance, _check_real, _tpc_from_tables
+from .kernels import _check_instance, _check_real, _holding_workspace, _tpc_from_tables
 from .peridynamic import (PdSystem, assemble_pd_system, fold_boundary_rhs,
                           pd_exact_forcing, sample_collar)
-from .solver import _cycle_cache, _smoother, solve
+from .solver import _cycle_cache, _products, _smoother, solve
 
 __all__ = [
     "TransientConfig",
@@ -119,8 +121,9 @@ def bdf4_march(problem, cfg, smoother=None, tol=1e-15, max_iter=200, coarsest=7)
 
     Startup values U^0 ... U^3 are the exact solution at 0, tau, 2 tau and
     3 tau; the max-norm error is measured at the final time.  wall_time
-    covers the whole call; solve_time only the solves, the hierarchy and
-    the cycle's set-up (solver._cycle_cache) being built before them.
+    covers the whole call; solve_time only the solves, the hierarchy, the
+    cycle's set-up (solver._cycle_cache) and its products being made
+    before them, in the workspace the march holds for all its products.
     """
     start = time.perf_counter()
     _check_instance("problem", problem, TransientProblem)
@@ -129,22 +132,23 @@ def bdf4_march(problem, cfg, smoother=None, tol=1e-15, max_iter=200, coarsest=7)
     tau = cfg.tau
     history = [problem.exact(j * tau) for j in range(4)]
     hier = build_hierarchy(build_step_operator(problem.system, tau), coarsest)
-    _cycle_cache(hier, smoother)
 
     result = MarchResult(u_final=None, max_error=np.nan)
     t_solve = 0.0
-    for k in range(4, cfg.steps + 1):
-        b = tau * problem.rhs(k * tau)
-        for w, uj in zip(BDF4_HISTORY, reversed(history)):
-            b += w * uj
-        # no later step reads the oldest vector: free it before the solve
-        del history[0], uj
-        t0 = time.perf_counter()
-        u, rep = solve(hier, b, smoother, tol=tol, max_iter=max_iter)
-        t_solve += time.perf_counter() - t0
-        result.iterations.append(rep.iterations)
-        result.reports.append(rep)
-        history.append(u)
+    with _holding_workspace(hier.finest):
+        _products(hier, _cycle_cache(hier, smoother))   # made once, for every solve
+        for k in range(4, cfg.steps + 1):
+            b = tau * problem.rhs(k * tau)
+            for w, uj in zip(BDF4_HISTORY, reversed(history)):
+                b += w * uj
+            # no later step reads the oldest vector: free it before the solve
+            del history[0], uj
+            t0 = time.perf_counter()
+            u, rep = solve(hier, b, smoother, tol=tol, max_iter=max_iter)
+            t_solve += time.perf_counter() - t0
+            result.iterations.append(rep.iterations)
+            result.reports.append(rep)
+            history.append(u)
 
     result.u_final = u
     result.solve_time = t_solve

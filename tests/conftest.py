@@ -270,3 +270,20 @@ def same_symbols(symbols, ref):
     return (symbols[0] == ref[0]
             and all(s.shape == t.shape and s.tobytes() == t.tobytes()
                     for s, t in zip(symbols[1:], ref[1:])))
+
+
+def row_by_row_circulant_product(views, length, S0, S1, u0, u1):
+    """kernels._circulant_product with each of the two rows transformed on
+    its own, through the same views: the reference that the batched
+    transforms must equal bitwise."""
+    X, F, off, swapped, pad, z0, z1 = views
+    pad.fill(0.0)
+    z0[...] = u0
+    z1[...] = u1
+    for row, spectrum in zip(X, F):
+        kernels._rfft(row, out=spectrum)
+    np.multiply(swapped, S1, out=off)   # (K01 u1, K10 u0)
+    F *= S0                             # (K00 u0, K11 u1)
+    F += off
+    for spectrum, row in zip(F, X):
+        kernels._irfft(spectrum, length, out=row)

@@ -17,8 +17,8 @@ from tpcmg import (BandedCorrection, GammaModelConfig, PdModelConfig,
 from tpcmg import kernels, solver
 
 from conftest import (assert_same_bytes, break_mirror, dense_toeplitz, identity_spec,
-                      identity_tpc, random_tpc, scale_shift, scaled_spec, tpc_pieces,
-                      zero_spec)
+                      identity_tpc, random_tpc, row_by_row_circulant_product, scale_shift,
+                      scaled_spec, tpc_pieces, zero_spec)
 
 
 class TestToeplitz:
@@ -283,22 +283,29 @@ class TestTpcOperator:
     @pytest.mark.parametrize("m", [1, 2, 7, 63, 200])
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_row_by_row_transforms_match_dense(self, rng, monkeypatch, m, symmetric):
-        monkeypatch.setattr(kernels, "_BATCH_MAX_LENGTH", 0)
+        """The products of the row-by-row reference match the dense matrix,
+        and the batched products bitwise."""
         op = random_tpc(rng, m, symmetric=symmetric, banded_bw=1)
         x = rng.standard_normal(op.n)
+        batched = op.matvec(x)
+        monkeypatch.setattr(kernels, "_circulant_product", row_by_row_circulant_product)
+        by_row = op.matvec(x)
+        assert by_row.tobytes() == batched.tobytes()
         dense = op.dense()
         ref = dense @ x
         scale = 1.0 + np.abs(x).max() * np.abs(dense).sum(axis=1).max()
-        assert np.abs(op.matvec(x) - ref).max() <= 1e-11 * scale
+        assert np.abs(by_row - ref).max() <= 1e-11 * scale
 
-    def test_row_by_row_equals_batched_above_cutover(self, rng, monkeypatch):
-        m = 16385                     # embedding length 65536 > 32768
+    def test_row_by_row_equals_batched_at_65536(self, rng, monkeypatch):
+        """At gamma's finest embedding length the batched transforms give
+        bitwise the row-by-row reference's product."""
+        m = 32767                     # gamma's finest half-size
         op = random_tpc(rng, m, banded_bw=1)
+        assert op._block_symbols()[0] == 65536
         x = rng.standard_normal(op.n)
-        by_row = op.matvec(x)
-        monkeypatch.setattr(kernels, "_BATCH_MAX_LENGTH", 2 ** 20)
         batched = op.matvec(x)
-        assert np.abs(by_row - batched).max() <= 1e-13 * np.abs(batched).max()
+        monkeypatch.setattr(kernels, "_circulant_product", row_by_row_circulant_product)
+        assert op.matvec(x).tobytes() == batched.tobytes()
 
     def test_non_finite_banded_rejected(self, rng):
         parts = tpc_pieces(random_tpc(rng, 5))
@@ -489,13 +496,12 @@ class TestLevelProducts:
         """Through the shared workspace, b - op x is bitwise b - op.matvec(x)
         on every level above the coarsest, in any order of the levels (a
         longer level's data left in the workspace must not leak), and the
-        workspace serves exactly the levels up to _WORKSPACE_MAX_LENGTH."""
+        workspace serves every level."""
         ops = levels[:-1]
         products = kernels._level_products(ops)
-        served = [isinstance(product, functools.partial) for product in products]
-        assert served == [op._block_symbols()[0] <= kernels._WORKSPACE_MAX_LENGTH
-                          for op in ops]
-        assert any(served)
+        workspaces = {id(product.args[4][1].base) for product in products}
+        assert all(isinstance(product, functools.partial) for product in products)
+        assert len(workspaces) == 1
         order = list(range(len(ops)))
         for k in order + order[::-1] + order:
             op = ops[k]
@@ -515,9 +521,12 @@ class TestTransformPair:
         assert kernels._irfft is not scipy.fft.irfft
 
     def test_lengths_cover_both_paths(self):
+        """The lengths checked below run from the smallest level's to
+        gamma's finest, 65536, for batched rows and for single rows, which
+        the row-by-row reference transforms."""
         lengths = set(PDSYM_LENGTHS) | set(GAMMA_LENGTHS)
-        assert min(lengths) <= kernels._BATCH_MAX_LENGTH
-        assert max(lengths) == 65536 > kernels._BATCH_MAX_LENGTH
+        assert min(lengths) <= 32
+        assert max(lengths) == 65536
 
     @pytest.mark.parametrize("length", sorted(set(PDSYM_LENGTHS) | set(GAMMA_LENGTHS)))
     def test_bitwise_equal_to_scipy_fft(self, rng, length):
@@ -526,7 +535,7 @@ class TestTransformPair:
         assert np.array_equal(kernels._rfft(X), spectrum)
         assert np.array_equal(kernels._irfft(spectrum, length),
                               scipy.fft.irfft(spectrum, length))
-        # one row at a time, as above the batching cutover
+        # one row at a time, as the row-by-row reference does
         assert np.array_equal(kernels._rfft(X[0]), scipy.fft.rfft(X[0]))
         assert np.array_equal(kernels._irfft(spectrum[1], length),
                               scipy.fft.irfft(spectrum[1], length))
@@ -551,7 +560,7 @@ class TestTransformPair:
             x = rng.standard_normal(op.n)
             _assert_matches_dense(op, x)
             _assert_matches_dense(TpcOperator(**dict(tpc_pieces(op), banded=None)), x)
-        monkeypatch.setattr(kernels, "_BATCH_MAX_LENGTH", 0)    # row by row
+        monkeypatch.setattr(kernels, "_circulant_product", row_by_row_circulant_product)
         _assert_matches_dense(op, x)
 
     @pytest.mark.parametrize("model", ["pd-sym", "gamma"])

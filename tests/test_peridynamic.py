@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from tpcmg import (PdModelConfig, assemble_pd_system,
                    fold_boundary_rhs, pd_coefficients, pd_exact_forcing,
                    sample_collar)
-from tpcmg import kernels
+from tpcmg import kernels, peridynamic
 from tpcmg.oracle import (pd_dense_reference, pd_forcing_quadrature,
                           pd_full_domain_operator, sym_eig_extremes)
+
+from conftest import row_by_row_circulant_product
 
 
 class TestCoefficients:
@@ -248,19 +250,31 @@ class TestFolding:
     @pytest.mark.parametrize("delta", [0.25, "sqrt-h"])
     @pytest.mark.parametrize("N", [8, 256, 1024])
     def test_row_path_matches_convolution(self, rng, monkeypatch, N, delta, symmetric):
-        """The fold's block product taken row by row (as above
-        _BATCH_MAX_LENGTH) matches the convolutions, and the batched fold
-        bitwise."""
+        """The fold's block product taken row by row (the row-by-row
+        reference) matches the convolutions, and the batched fold bitwise."""
         cfg = PdModelConfig(N=N, delta=delta, symmetric=symmetric)
         system = assemble_pd_system(cfg)
         F = rng.standard_normal(2 * N - 1)
         collar = rng.standard_normal(4 * cfg.r + 2)
         batched = fold_boundary_rhs(system, F, collar)
-        monkeypatch.setattr(kernels, "_BATCH_MAX_LENGTH", 0)
+        monkeypatch.setattr(peridynamic, "_circulant_product", row_by_row_circulant_product)
         folded = fold_boundary_rhs(system, F, collar)
         assert np.array_equal(folded, batched)
         ref = _fold_by_convolution(system, F, collar)
         assert np.abs(folded - ref).max() <= 1e-13 * np.abs(ref - F).max()
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_row_path_bitwise_at_65536(self, rng, monkeypatch, symmetric):
+        """With r = 32767 the fold's transforms have gamma's finest length,
+        65536, and the batched fold is bitwise the row-by-row reference's."""
+        cfg = PdModelConfig(N=131072, delta=32767 / 131072, symmetric=symmetric)
+        system = assemble_pd_system(cfg)
+        assert system._fold_spectra[0] == 65536
+        F = rng.standard_normal(2 * cfg.N - 1)
+        collar = rng.standard_normal(4 * cfg.r + 2)
+        batched = fold_boundary_rhs(system, F, collar)
+        monkeypatch.setattr(peridynamic, "_circulant_product", row_by_row_circulant_product)
+        assert fold_boundary_rhs(system, F, collar).tobytes() == batched.tobytes()
 
     def test_collar_length_validation(self):
         cfg = PdModelConfig(N=8, delta=0.25, symmetric=True)

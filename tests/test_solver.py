@@ -369,12 +369,12 @@ class TestConcurrency:
 
     def test_concurrent_matvecs_and_folds_match_serial(self, rng):
         """Two threads that run TpcOperator.matvec on shared operators, one
-        on each side of _BATCH_MAX_LENGTH (m = 16385 embeds in L = 65536),
-        and fold_boundary_rhs on one shared PdSystem give bitwise the
-        serial results: each call allocates its own transform workspace."""
-        ops = [random_tpc(rng, m, banded_bw=1) for m in (200, 16385)]
-        assert [op._block_symbols()[0] > kernels._BATCH_MAX_LENGTH for op in ops] == \
-            [False, True]
+        small and one at gamma's finest embedding length (m = 32767 embeds
+        in L = 65536), and fold_boundary_rhs on one shared PdSystem give
+        bitwise the serial results: outside a held workspace each call
+        allocates its own."""
+        ops = [random_tpc(rng, m, banded_bw=1) for m in (200, 32767)]
+        assert [op._block_symbols()[0] for op in ops] == [400, 65536]
         cfg = PdModelConfig(N=512, delta=0.25, symmetric=False)
         system = assemble_pd_system(cfg)
         inputs = [([rng.standard_normal(op.n) for op in ops],
